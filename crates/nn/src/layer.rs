@@ -1,4 +1,4 @@
-use crate::Result;
+use crate::{BatchNorm2d, Conv2d, Result};
 use bprom_tensor::Tensor;
 
 /// Whether a forward pass is part of training or inference.
@@ -98,12 +98,34 @@ pub trait Layer: Send + Sync {
     /// Short human-readable layer name used in error messages.
     fn name(&self) -> &'static str;
 
+    /// How this layer takes part in eval-mode epilogue fusion: a
+    /// [`crate::Sequential`] folds each `Conv2d → BatchNorm2d → Relu` run
+    /// of its `forward_eval` into the convolution's output store. Layers
+    /// outside the workspace keep the default and are never folded.
+    #[doc(hidden)]
+    fn fusable(&self) -> Fusable<'_> {
+        Fusable::No
+    }
+
     /// Total number of trainable scalar parameters.
     fn param_count(&mut self) -> usize {
         let mut count = 0;
         self.visit_params(&mut |p, _| count += p.len());
         count
     }
+}
+
+/// A layer's role in eval-mode epilogue fusion (see [`Layer::fusable`]).
+/// Not exported: only this crate's layers take part.
+pub enum Fusable<'a> {
+    /// Not foldable; runs its own `forward_eval`.
+    No,
+    /// A convolution whose store can take an epilogue.
+    Conv(&'a Conv2d),
+    /// Batch normalization, foldable after a convolution.
+    Norm(&'a BatchNorm2d),
+    /// ReLU, foldable after a convolution or its batch norm.
+    Relu,
 }
 
 /// A trainable parameter: value plus accumulated gradient.

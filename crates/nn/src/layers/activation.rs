@@ -1,9 +1,9 @@
-use crate::layer::{Layer, Mode};
+use crate::layer::{Fusable, Layer, Mode};
 use crate::{NnError, Result};
 use bprom_tensor::Tensor;
 
 macro_rules! pointwise_activation {
-    ($(#[$doc:meta])* $name:ident, $fwd:expr, $bwd_from_in:expr) => {
+    ($(#[$doc:meta])* $name:ident, $fwd:expr, $bwd_from_in:expr, $fusable:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Default)]
         pub struct $name {
@@ -45,6 +45,10 @@ macro_rules! pointwise_activation {
             fn name(&self) -> &'static str {
                 stringify!($name)
             }
+
+            fn fusable(&self) -> Fusable<'_> {
+                $fusable
+            }
         }
     };
 }
@@ -53,21 +57,24 @@ pointwise_activation!(
     /// Rectified linear unit: `max(0, x)`.
     Relu,
     |x| if x > 0.0 { x } else { 0.0 },
-    |x: f32| if x > 0.0 { 1.0 } else { 0.0 }
+    |x: f32| if x > 0.0 { 1.0 } else { 0.0 },
+    Fusable::Relu
 );
 
 pointwise_activation!(
     /// Leaky ReLU with fixed negative slope 0.1.
     LeakyRelu,
     |x| if x > 0.0 { x } else { 0.1 * x },
-    |x: f32| if x > 0.0 { 1.0 } else { 0.1 }
+    |x: f32| if x > 0.0 { 1.0 } else { 0.1 },
+    Fusable::No
 );
 
 pointwise_activation!(
     /// Hyperbolic tangent.
     Tanh,
     |x: f32| x.tanh(),
-    |x: f32| 1.0 - x.tanh() * x.tanh()
+    |x: f32| 1.0 - x.tanh() * x.tanh(),
+    Fusable::No
 );
 
 pointwise_activation!(
@@ -75,7 +82,8 @@ pointwise_activation!(
     /// transformer models.
     Gelu,
     gelu_forward,
-    gelu_derivative
+    gelu_derivative,
+    Fusable::No
 );
 
 fn gelu_forward(x: f32) -> f32 {

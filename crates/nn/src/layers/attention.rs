@@ -224,17 +224,8 @@ impl Attention {
 }
 
 fn softmax_rows(scores: &Tensor) -> Tensor {
-    let (r, c) = (scores.shape()[0], scores.shape()[1]);
-    let mut out = Tensor::zeros(&[r, c]);
-    for i in 0..r {
-        let row = &scores.data()[i * c..(i + 1) * c];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&v| (v - m).exp()).collect();
-        let sum: f32 = exps.iter().sum();
-        for (j, e) in exps.iter().enumerate() {
-            out.data_mut()[i * c + j] = e / sum;
-        }
-    }
+    let mut out = scores.clone();
+    crate::metrics::softmax_rows_in_place(out.data_mut(), scores.shape()[1]);
     out
 }
 

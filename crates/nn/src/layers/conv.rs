@@ -1,6 +1,9 @@
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Fusable, Layer, Mode, Param};
 use crate::{init, NnError, Result};
-use bprom_tensor::{conv2d, conv2d_backward_input, conv2d_backward_weight, Rng, Tensor};
+use bprom_tensor::{
+    conv2d, conv2d_backward_input, conv2d_backward_weight, ChannelNorm, ConvWeight, Epilogue, Rng,
+    Tensor,
+};
 
 /// 2-D convolution layer over NCHW input, with bias.
 #[derive(Debug, Clone)]
@@ -52,20 +55,24 @@ impl Conv2d {
         self.in_channels
     }
 
-    fn add_bias(&self, out: &mut Tensor) {
-        let (n, o) = (out.shape()[0], out.shape()[1]);
-        let hw = out.shape()[2] * out.shape()[3];
-        let b = self.bias.value.data().to_vec();
-        let data = out.data_mut();
-        for ni in 0..n {
-            for oi in 0..o {
-                let base = (ni * o + oi) * hw;
-                let bv = b[oi];
-                for v in &mut data[base..base + hw] {
-                    *v += bv;
-                }
-            }
-        }
+    /// Eval-mode forward with `norm` and `relu` folded into the output
+    /// store after the bias (see [`Epilogue`]): bit for bit the separate
+    /// `BatchNorm2d` and `Relu` passes.
+    pub(crate) fn forward_eval_fused(
+        &self,
+        input: &Tensor,
+        norm: Option<ChannelNorm<'_>>,
+        relu: bool,
+    ) -> Result<Tensor> {
+        let weight = ConvWeight {
+            weight: &self.weight.value,
+            epilogue: Epilogue {
+                bias: Some(self.bias.value.data()),
+                norm,
+                relu,
+            },
+        };
+        Ok(conv2d(input, weight, self.stride, self.padding)?)
     }
 }
 
@@ -79,9 +86,7 @@ impl Layer for Conv2d {
     }
 
     fn forward_eval(&self, input: &Tensor) -> Result<Tensor> {
-        let mut out = conv2d(input, &self.weight.value, self.stride, self.padding)?;
-        self.add_bias(&mut out);
-        Ok(out)
+        self.forward_eval_fused(input, None, false)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -128,6 +133,10 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &'static str {
         "Conv2d"
+    }
+
+    fn fusable(&self) -> Fusable<'_> {
+        Fusable::Conv(self)
     }
 }
 

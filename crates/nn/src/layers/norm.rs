@@ -1,6 +1,6 @@
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Fusable, Layer, Mode, Param};
 use crate::{NnError, Result};
-use bprom_tensor::Tensor;
+use bprom_tensor::{ChannelNorm, Tensor};
 
 const EPS: f32 = 1e-5;
 
@@ -41,6 +41,28 @@ impl BatchNorm2d {
             channels,
             cache: None,
         }
+    }
+
+    /// Number of normalized channels.
+    pub(crate) fn channels(&self) -> usize {
+        self.channels
+    }
+
+    /// Runs `f` with the eval-mode normalization as a per-channel affine
+    /// map over the running statistics — the same scalar steps as
+    /// `forward`'s frozen-statistics branch.
+    pub(crate) fn with_channel_norm<R>(&self, f: impl FnOnce(ChannelNorm<'_>) -> R) -> R {
+        let inv_std: Vec<f32> = self
+            .running_var
+            .iter()
+            .map(|&var| 1.0 / (var + EPS).sqrt())
+            .collect();
+        f(ChannelNorm {
+            mean: &self.running_mean,
+            inv_std: &inv_std,
+            gamma: self.gamma.value.data(),
+            beta: self.beta.value.data(),
+        })
     }
 
     fn check_input(&self, input: &Tensor) -> Result<()> {
@@ -123,24 +145,13 @@ impl Layer for BatchNorm2d {
 
     fn forward_eval(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
-        let (n, c) = (input.shape()[0], input.shape()[1]);
         let plane = input.shape()[2] * input.shape()[3];
-        let mut out = Tensor::zeros(input.shape());
-        for ci in 0..c {
-            let (mean, var) = (self.running_mean[ci], self.running_var[ci]);
-            let inv_std = 1.0 / (var + EPS).sqrt();
-            let g = self.gamma.value.data()[ci];
-            let b = self.beta.value.data()[ci];
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                for i in base..base + plane {
-                    // Same operation order as `forward` so results stay
-                    // bit-identical between the mutable and shared paths.
-                    let xh = (input.data()[i] - mean) * inv_std;
-                    out.data_mut()[i] = g * xh + b;
-                }
+        let mut out = input.clone();
+        self.with_channel_norm(|norm| {
+            for (i, vals) in out.data_mut().chunks_exact_mut(plane).enumerate() {
+                norm.apply(i % self.channels, vals);
             }
-        }
+        });
         Ok(out)
     }
 
@@ -216,6 +227,10 @@ impl Layer for BatchNorm2d {
 
     fn name(&self) -> &'static str {
         "BatchNorm2d"
+    }
+
+    fn fusable(&self) -> Fusable<'_> {
+        Fusable::Norm(self)
     }
 }
 

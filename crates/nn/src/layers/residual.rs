@@ -49,12 +49,12 @@ impl Layer for Residual {
     }
 
     fn forward_eval(&self, input: &Tensor) -> Result<Tensor> {
-        let main = self.body.forward_eval(input)?;
-        let skip = match &self.shortcut {
-            Some(proj) => proj.forward_eval(input)?,
-            None => input.clone(),
-        };
-        Ok(main.add_t(&skip)?)
+        let mut main = self.body.forward_eval(input)?;
+        match &self.shortcut {
+            Some(proj) => main.add_in_place(&proj.forward_eval(input)?)?,
+            None => main.add_in_place(input)?,
+        }
+        Ok(main)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {

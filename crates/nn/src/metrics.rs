@@ -14,18 +14,24 @@ pub fn softmax(logits: &Tensor) -> Result<Tensor> {
             reason: format!("softmax expects [n, k], got {:?}", logits.shape()),
         }));
     }
-    let (n, k) = (logits.shape()[0], logits.shape()[1]);
-    let mut out = Tensor::zeros(&[n, k]);
-    for i in 0..n {
-        let row = &logits.data()[i * k..(i + 1) * k];
+    let mut out = logits.clone();
+    softmax_rows_in_place(out.data_mut(), logits.shape()[1]);
+    Ok(out)
+}
+
+/// Replaces every `k`-wide row of `data` by its numerically stabilized
+/// softmax, in place.
+pub(crate) fn softmax_rows_in_place(data: &mut [f32], k: usize) {
+    for row in data.chunks_exact_mut(k) {
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&v| (v - m).exp()).collect();
-        let sum: f32 = exps.iter().sum();
-        for (j, e) in exps.iter().enumerate() {
-            out.data_mut()[i * k + j] = e / sum;
+        for v in row.iter_mut() {
+            *v = (*v - m).exp();
+        }
+        let sum: f32 = row.iter().sum();
+        for v in row.iter_mut() {
+            *v /= sum;
         }
     }
-    Ok(out)
 }
 
 /// Fraction of rows whose argmax matches the label.

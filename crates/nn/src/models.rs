@@ -299,12 +299,13 @@ mod tests {
         let spec = ModelSpec::new(3, 16, 10);
         for arch in Architecture::ALL {
             let mut model = build(arch, &spec, &mut rng).unwrap();
-            let x = Tensor::randn(&[2, 3, 16, 16], &mut rng);
-            // Train once so batch-norm running statistics are non-trivial.
-            model.forward(&x, Mode::Train).unwrap();
-            let y_mut = model.forward(&x, Mode::Eval).unwrap();
-            let y_shared = model.forward_eval(&x).unwrap();
-            assert_eq!(y_mut, y_shared, "{arch}");
+            // Running statistics, γ/β and biases all off their initial
+            // values, so a wrong fused-epilogue order cannot pass.
+            crate::sequential::tests::perturb_for_eval(&mut model, &mut rng);
+            let x = Tensor::randn(&[48, 3, 16, 16], &mut rng);
+            let y_unfused = model.forward(&x, Mode::Eval).unwrap();
+            let y_fused = model.forward_eval(&x).unwrap();
+            assert_eq!(y_unfused, y_fused, "{arch}");
         }
     }
 

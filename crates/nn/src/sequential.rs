@@ -1,5 +1,5 @@
-use crate::layer::{Layer, Mode};
-use crate::Result;
+use crate::layer::{Fusable, Layer, Mode};
+use crate::{Conv2d, Result};
 use bprom_tensor::Tensor;
 
 /// A chain of layers applied in order. The universal model container of the
@@ -190,12 +190,24 @@ impl Layer for Sequential {
         Ok(x)
     }
 
+    /// Eval-mode forward with epilogue fusion: each `Conv2d` stores its
+    /// output through the `BatchNorm2d` (over the same channels) and the
+    /// `Relu` that directly follow it, instead of running them as separate
+    /// passes. The epilogue keeps their scalar order, so the output is bit
+    /// for bit that of `forward(input, Mode::Eval)`.
     fn forward_eval(&self, input: &Tensor) -> Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &self.layers {
-            x = layer.forward_eval(&x)?;
+        let mut x: Option<Tensor> = None;
+        let mut i = 0;
+        while let Some(layer) = self.layers.get(i) {
+            let cur = x.as_ref().unwrap_or(input);
+            let (y, used) = match layer.fusable() {
+                Fusable::Conv(conv) => conv_run(conv, &self.layers[i + 1..], cur)?,
+                _ => (layer.forward_eval(cur)?, 1),
+            };
+            x = Some(y);
+            i += used;
         }
-        Ok(x)
+        Ok(x.unwrap_or_else(|| input.clone()))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -235,8 +247,25 @@ impl Layer for Sequential {
     }
 }
 
+/// Runs `conv` with the eval epilogue folded from the layers after it (a
+/// batch norm over its output channels, then a ReLU), returning the
+/// output and the number of layers it covered.
+fn conv_run(conv: &Conv2d, rest: &[Box<dyn Layer>], input: &Tensor) -> Result<(Tensor, usize)> {
+    let norm = match rest.first().map(|l| l.fusable()) {
+        Some(Fusable::Norm(bn)) if bn.channels() == conv.out_channels() => Some(bn),
+        _ => None,
+    };
+    let after = usize::from(norm.is_some());
+    let relu = matches!(rest.get(after).map(|l| l.fusable()), Some(Fusable::Relu));
+    let out = match norm {
+        Some(bn) => bn.with_channel_norm(|n| conv.forward_eval_fused(input, Some(n), relu))?,
+        None => conv.forward_eval_fused(input, None, relu)?,
+    };
+    Ok((out, 1 + after + usize::from(relu)))
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{Dense, Relu};
     use bprom_tensor::Rng;
@@ -306,8 +335,33 @@ mod tests {
         }
     }
 
+    /// Moves a model off its freshly built state, where a wrong epilogue
+    /// order can still pass (batch-norm mean 0, variance 1, γ = 1, β = 0,
+    /// zero biases): every parameter gets noise, every running mean a
+    /// signed value and every running variance a positive one.
+    pub(crate) fn perturb_for_eval(net: &mut Sequential, rng: &mut Rng) {
+        net.visit_params(&mut |p, _| {
+            for v in p.data_mut() {
+                *v += 0.5 * rng.normal();
+            }
+        });
+        // Batch-norm buffers come as (running mean, running var) pairs.
+        let mut idx = 0;
+        net.visit_buffers(&mut |b| {
+            for v in b.iter_mut() {
+                *v = if idx % 2 == 0 {
+                    rng.normal()
+                } else {
+                    0.1 + 2.0 * rng.uniform()
+                };
+            }
+            idx += 1;
+        });
+    }
+
     #[test]
     fn forward_eval_matches_eval_forward_exactly() {
+        use crate::{BatchNorm2d, Conv2d, GlobalAvgPool, Residual};
         let mut rng = Rng::new(5);
         let mut net = tiny_net(&mut rng);
         let x = Tensor::randn(&[4, 3], &mut rng);
@@ -315,6 +369,40 @@ mod tests {
         let y_mut = net.forward(&x, Mode::Eval).unwrap();
         let y_shared = net.forward_eval(&x).unwrap();
         assert_eq!(y_mut, y_shared);
+
+        // Every fusable run shape: conv → bn → relu, conv → bn, conv →
+        // relu, a bare conv, and a batch norm over other channels that
+        // must not fold.
+        let mut net = Sequential::new(vec![
+            Box::new(Conv2d::new(3, 6, 3, 1, 1, &mut rng)),
+            Box::new(BatchNorm2d::new(6)),
+            Box::new(Relu::new()),
+            Box::new(Residual::new(Sequential::new(vec![
+                Box::new(Conv2d::new(6, 6, 3, 1, 1, &mut rng)),
+                Box::new(BatchNorm2d::new(6)),
+            ]))),
+            Box::new(Conv2d::new(6, 10, 3, 2, 1, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Conv2d::new(10, 4, 1, 1, 0, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Relu::new()),
+            Box::new(Conv2d::new(4, 4, 3, 1, 1, &mut rng)),
+            Box::new(GlobalAvgPool::new()),
+        ]);
+        perturb_for_eval(&mut net, &mut rng);
+        let x = Tensor::randn(&[48, 3, 16, 16], &mut rng);
+        let y_mut = net.forward(&x, Mode::Eval).unwrap();
+        let y_shared = net.forward_eval(&x).unwrap();
+        assert_eq!(y_mut, y_shared);
+        assert!(y_shared.data().iter().any(|&v| v != 0.0));
+
+        let mut mismatched = Sequential::new(vec![
+            Box::new(Conv2d::new(3, 6, 3, 1, 1, &mut rng)),
+            Box::new(BatchNorm2d::new(4)),
+        ]);
+        let x = Tensor::randn(&[2, 3, 8, 8], &mut rng);
+        assert!(mismatched.forward(&x, Mode::Eval).is_err());
+        assert!(mismatched.forward_eval(&x).is_err());
     }
 
     #[test]

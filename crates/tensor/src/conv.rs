@@ -15,11 +15,121 @@
 //! the reference accumulation order bit-exactly; backward-weight reduces
 //! over the flat `n·oh·ow` axis — see the determinism notes in
 //! [`crate::kernels`].
+//!
+//! The forward pass has a second kernel: for small output-channel counts
+//! [`conv2d`] runs the direct kernel of [`crate::direct`] where it
+//! measured faster, with the same accumulation order. Both forward paths
+//! store through an [`Epilogue`] (bias, eval-mode batch norm, ReLU).
 
-use crate::kernels::{gemm_with_b, BPacker, NR};
+use crate::direct;
+use crate::kernels::{gemm_with_b, BPacker, Isa, KC_MAX, NR};
 use crate::pack::Trans;
-use crate::workspace::{with_scratch, with_zeroed_scratch};
+use crate::workspace::with_scratch;
 use crate::{Tensor, TensorError};
+
+/// Per-output-channel operations a forward convolution applies as it
+/// stores each output value `v` of channel `o`, in this order:
+///
+/// 1. `v + bias[o]`,
+/// 2. `gamma[o] · ((v − mean[o]) · inv_std[o]) + beta[o]` ([`ChannelNorm`]),
+/// 3. `if v > 0 { v } else { 0 }`.
+///
+/// Each step is the same scalar expression the separate bias add,
+/// eval-mode batch norm and ReLU passes compute, so a fused store is bit
+/// for bit the unfused sequence. The default applies nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Epilogue<'a> {
+    /// Per-channel bias, added first.
+    pub bias: Option<&'a [f32]>,
+    /// Per-channel affine normalization, applied second.
+    pub norm: Option<ChannelNorm<'a>>,
+    /// Rectification, applied last.
+    pub relu: bool,
+}
+
+/// Eval-mode batch normalization as a per-channel affine map:
+/// `gamma · ((v − mean) · inv_std) + beta`.
+#[derive(Debug, Clone, Copy)]
+pub struct ChannelNorm<'a> {
+    /// Running mean per channel.
+    pub mean: &'a [f32],
+    /// `1 / sqrt(var + eps)` per channel.
+    pub inv_std: &'a [f32],
+    /// Scale per channel.
+    pub gamma: &'a [f32],
+    /// Shift per channel.
+    pub beta: &'a [f32],
+}
+
+impl ChannelNorm<'_> {
+    /// Normalizes the values of channel `o` in place.
+    pub fn apply(&self, o: usize, vals: &mut [f32]) {
+        let (mean, inv_std) = (self.mean[o], self.inv_std[o]);
+        let (g, b) = (self.gamma[o], self.beta[o]);
+        for v in vals {
+            let xh = (*v - mean) * inv_std;
+            *v = g * xh + b;
+        }
+    }
+
+    fn channels_ok(&self, o: usize) -> bool {
+        [self.mean, self.inv_std, self.gamma, self.beta]
+            .iter()
+            .all(|s| s.len() == o)
+    }
+}
+
+impl Epilogue<'_> {
+    /// Applies the epilogue to the values of output channel `o` in place.
+    pub(crate) fn apply(&self, o: usize, vals: &mut [f32]) {
+        if let Some(bias) = self.bias {
+            let b = bias[o];
+            for v in vals.iter_mut() {
+                *v += b;
+            }
+        }
+        if let Some(norm) = &self.norm {
+            norm.apply(o, vals);
+        }
+        if self.relu {
+            for v in vals.iter_mut() {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+    }
+
+    fn check(&self, o: usize) -> Result<(), TensorError> {
+        let bias_ok = self.bias.is_none_or(|b| b.len() == o);
+        let norm_ok = self.norm.as_ref().is_none_or(|n| n.channels_ok(o));
+        if bias_ok && norm_ok {
+            Ok(())
+        } else {
+            Err(TensorError::InvalidShape {
+                reason: format!("conv2d epilogue needs {o} values per channel table"),
+            })
+        }
+    }
+}
+
+/// The weight operand of [`conv2d`]: an OIHW weight tensor and the
+/// [`Epilogue`] its output is stored through. A plain `&Tensor` converts
+/// with the empty epilogue.
+#[derive(Debug, Clone, Copy)]
+pub struct ConvWeight<'a> {
+    /// `[o, c, kh, kw]` weights.
+    pub weight: &'a Tensor,
+    /// Applied to every output as it is stored.
+    pub epilogue: Epilogue<'a>,
+}
+
+impl<'a> From<&'a Tensor> for ConvWeight<'a> {
+    fn from(weight: &'a Tensor) -> Self {
+        ConvWeight {
+            weight,
+            epilogue: Epilogue::default(),
+        }
+    }
+}
 
 pub(crate) fn out_dim(
     input: usize,
@@ -205,24 +315,30 @@ pub(crate) fn col2im_sample(
 }
 
 /// Shared shape bookkeeping for the three conv directions.
-struct ConvDims {
-    n: usize,
-    c: usize,
-    o: usize,
-    kh: usize,
-    kw: usize,
-    oh: usize,
-    ow: usize,
+pub(crate) struct ConvDims {
+    pub(crate) n: usize,
+    pub(crate) c: usize,
+    pub(crate) o: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
     /// Padded spatial dims.
-    hp: usize,
-    wp: usize,
+    pub(crate) hp: usize,
+    pub(crate) wp: usize,
     /// GEMM reduction depth `c·kh·kw`.
-    k: usize,
+    pub(crate) k: usize,
     /// Spatial size of one output sample, `oh·ow`.
-    spat: usize,
+    pub(crate) spat: usize,
 }
 
 impl ConvDims {
+    /// Length of one padded row split into its `stride` column phases
+    /// (see [`pad_into`]): `stride · wp.div_ceil(stride)`.
+    pub(crate) fn split_row(&self, stride: usize) -> usize {
+        stride * self.wp.div_ceil(stride)
+    }
+
     fn resolve(
         input_shape: &[usize],
         o: usize,
@@ -255,21 +371,62 @@ impl ConvDims {
     }
 }
 
-/// Offset of virtual column `j` (output position, sample-major) inside
-/// the padded batch: the element for k-row `p` is
-/// `padded[col_base(j) + k_off(p)]`.
-fn col_base(d: &ConvDims, stride: usize, j: usize) -> usize {
-    let sample = j / d.spat;
-    let r = j % d.spat;
-    let (oy, ox) = (r / d.ow, r % d.ow);
-    (sample * d.c * d.hp + oy * stride) * d.wp + ox * stride
+/// Offsets of consecutive virtual columns `j0, j0+1, ..` (output
+/// positions, sample-major) inside the padded batch: the element for
+/// k-row `p` of column `j` is `padded[base(j) + k_off(p)]`. Walks the
+/// `(sample, oy, ox)` counters instead of dividing per column.
+fn col_bases(d: &ConvDims, stride: usize, j0: usize) -> impl Iterator<Item = usize> + '_ {
+    let (mut sample, r) = (j0 / d.spat, j0 % d.spat);
+    let (mut oy, mut ox) = (r / d.ow, r % d.ow);
+    std::iter::from_fn(move || {
+        let base = (sample * d.c * d.hp + oy * stride) * d.wp + ox * stride;
+        ox += 1;
+        if ox == d.ow {
+            ox = 0;
+            oy += 1;
+            if oy == d.oh {
+                oy = 0;
+                sample += 1;
+            }
+        }
+        Some(base)
+    })
 }
 
-/// Offset of k-row `p = (c, ki, kj)` relative to a column's base.
-fn k_off(d: &ConvDims, p: usize) -> usize {
-    let ci = p / (d.kh * d.kw);
-    let r = p % (d.kh * d.kw);
-    (ci * d.hp + r / d.kw) * d.wp + r % d.kw
+/// Offsets of consecutive k-rows `p0, p0+1, ..` (`p = (c, ki, kj)`)
+/// relative to a column's base, walking the `(c, ki, kj)` counters.
+fn k_offsets(d: &ConvDims, p0: usize) -> impl Iterator<Item = usize> + '_ {
+    let khw = d.kh * d.kw;
+    let (mut ci, mut ki, mut kj) = (p0 / khw, p0 % khw / d.kw, p0 % d.kw);
+    std::iter::from_fn(move || {
+        let off = (ci * d.hp + ki) * d.wp + kj;
+        kj += 1;
+        if kj == d.kw {
+            kj = 0;
+            ki += 1;
+            if ki == d.kh {
+                ki = 0;
+                ci += 1;
+            }
+        }
+        Some(off)
+    })
+}
+
+/// The values of `it` in a fixed-size array (zeros past its end), so the
+/// packers index their per-panel offset tables without allocating.
+///
+/// # Panics
+///
+/// If `it` yields more than `N` values: a panel deeper than the table
+/// would otherwise pack zeros for its extra rows.
+fn take_array<const N: usize>(mut it: impl Iterator<Item = usize>) -> [usize; N] {
+    let mut out = [0usize; N];
+    for (slot, v) in out.iter_mut().zip(&mut it) {
+        *slot = v;
+    }
+    assert!(it.next().is_none(), "offset table holds at most {N} values");
+    out
 }
 
 /// Virtual im2col B operand for the forward pass:
@@ -285,13 +442,12 @@ impl BPacker for ColPacker<'_> {
         let strips = nc.div_ceil(NR);
         buf.clear();
         buf.resize(strips * kc * NR, 0.0);
-        let offs: Vec<usize> = (p0..p0 + kc).map(|p| k_off(self.d, p)).collect();
-        let bases: Vec<usize> = (j0..j0 + nc)
-            .map(|j| col_base(self.d, self.stride, j))
-            .collect();
+        let offs = take_array::<KC_MAX>(k_offsets(self.d, p0).take(kc));
+        let mut bases = col_bases(self.d, self.stride, j0);
         for (t, strip) in buf.chunks_exact_mut(kc * NR).enumerate() {
             let cols = NR.min(nc - t * NR);
-            let b = &bases[t * NR..t * NR + cols];
+            let b = take_array::<NR>(bases.by_ref().take(cols));
+            let b = &b[..cols];
             // Column bases increase monotonically, so spanning exactly
             // `cols` positions means they are consecutive (one stride-1
             // output row) and the sliver is a straight copy.
@@ -324,13 +480,12 @@ impl BPacker for ColTPacker<'_> {
         let strips = nc.div_ceil(NR);
         buf.clear();
         buf.resize(strips * kc * NR, 0.0);
-        let bases: Vec<usize> = (p0..p0 + kc)
-            .map(|p| col_base(self.d, self.stride, p))
-            .collect();
-        let offs: Vec<usize> = (j0..j0 + nc).map(|j| k_off(self.d, j)).collect();
+        let bases = take_array::<KC_MAX>(col_bases(self.d, self.stride, p0).take(kc));
+        let mut offs = k_offsets(self.d, j0);
         for (t, strip) in buf.chunks_exact_mut(kc * NR).enumerate() {
             let cols = NR.min(nc - t * NR);
-            let o = &offs[t * NR..t * NR + cols];
+            let o = take_array::<NR>(offs.by_ref().take(cols));
+            let o = &o[..cols];
             for (row, &base) in strip.chunks_exact_mut(NR).zip(&bases) {
                 for (dv, &off) in row.iter_mut().zip(o) {
                     *dv = self.padded[base + off];
@@ -393,49 +548,97 @@ fn grad_to_rows_into(grad_output: &Tensor, d: &ConvDims, rows: &mut [f32]) {
     }
 }
 
-/// Writes `input` `[n, c, h, w]` into a pre-zeroed padded
-/// `[n, c, h+2p, w+2p]` scratch buffer (the slice-borne twin of
-/// [`pad2d`], so the conv drivers can stage padding in reused scratch
-/// instead of a fresh tensor).
-fn pad_into(input: &Tensor, pad: usize, dst: &mut [f32]) {
-    let (n, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
-    let src = input.data();
-    for ni in 0..n {
-        for ci in 0..c {
-            for hi in 0..h {
-                let d0 = ((ni * c + ci) * hp + hi + pad) * wp + pad;
-                let s0 = ((ni * c + ci) * h + hi) * w;
-                dst[d0..d0 + w].copy_from_slice(&src[s0..s0 + w]);
+/// Writes `input` `[n, c, h, w]` zero-padded into a scratch buffer of
+/// `[n, c, h+2p, phases·⌈(w+2p)/phases⌉]`, every element of it (the
+/// slice-borne twin of [`pad2d`], so the conv drivers can stage padding in
+/// reused scratch instead of a fresh tensor). With `phases == 1` that is
+/// the plain padded layout; above 1 every padded row is stored
+/// phase-split, padded column `x` at `(x % phases)·⌈(w+2p)/phases⌉ +
+/// x / phases` — the strided-source layout of [`crate::direct`].
+fn pad_into(input: &Tensor, pad: usize, phases: usize, dst: &mut [f32]) {
+    let (h, w) = (input.shape()[2], input.shape()[3]);
+    let phase = (w + 2 * pad).div_ceil(phases);
+    let row = phases * phase;
+    // Destination column of each input column within a padded row.
+    let cols: Vec<usize> = (pad..pad + w)
+        .map(|x| x % phases * phase + x / phases)
+        .collect();
+    let planes = dst.chunks_exact_mut((h + 2 * pad) * row);
+    for (plane, src) in planes.zip(input.data().chunks_exact(h * w)) {
+        let (top, rest) = plane.split_at_mut(pad * row);
+        let (body, bottom) = rest.split_at_mut(h * row);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for (dst_row, src_row) in body.chunks_exact_mut(row).zip(src.chunks_exact(w)) {
+            if phases == 1 {
+                dst_row[..pad].fill(0.0);
+                dst_row[pad..pad + w].copy_from_slice(src_row);
+                dst_row[pad + w..].fill(0.0);
+            } else {
+                dst_row.fill(0.0);
+                for (&x, &v) in cols.iter().zip(src_row) {
+                    dst_row[x] = v;
+                }
             }
         }
     }
 }
 
+/// Runs `run(n0, out_chunk)` over the batch, `out` holding `sample_out`
+/// values per sample. Splits the samples over the worker pool when the
+/// job is worth it (`flops` against [`crate::kernels::PAR_MIN_FLOPS`])
+/// and the caller is not already a pool worker. Samples are independent,
+/// so the split cannot change any value.
+fn for_sample_chunks(
+    out: &mut [f32],
+    sample_out: usize,
+    flops: usize,
+    run: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    let n = out.len() / sample_out;
+    let threads = bprom_par::thread_count();
+    if threads <= 1 || flops < crate::kernels::PAR_MIN_FLOPS || bprom_par::in_parallel_worker() {
+        run(0, out);
+        return;
+    }
+    let per = n.div_ceil(threads.min(n));
+    let blocks = bprom_par::par_map_indexed(n.div_ceil(per), |t| {
+        let n0 = t * per;
+        let mut buf = vec![0.0f32; per.min(n - n0) * sample_out];
+        run(n0, &mut buf);
+        buf
+    });
+    for (chunk, buf) in out.chunks_mut(per * sample_out).zip(&blocks) {
+        chunk.copy_from_slice(buf);
+    }
+}
+
 /// 2-D convolution forward pass.
 ///
-/// `input` is `[n, c, h, w]`, `weight` is `[o, c, kh, kw]`, output is
-/// `[n, o, oh, ow]` with `oh = (h + 2p - kh) / s + 1`.
+/// `input` is `[n, c, h, w]`; `weight` is an `[o, c, kh, kw]` tensor, or
+/// a [`ConvWeight`] that also names the [`Epilogue`] every output is
+/// stored through. The output is `[n, o, oh, ow]` with
+/// `oh = (h + 2p - kh) / s + 1`.
 ///
-/// The batch is lowered through the virtual-im2col [`ColPacker`] into a
-/// single `[o, k] × [k, n·oh·ow]` GEMM; results are bit-identical to the
-/// per-sample reference ([`crate::reference::conv2d_reference`]).
+/// Two kernels compute it: the direct small-channel kernel (module
+/// `direct`) where its measured shape/ISA rule (`direct::select`) picks
+/// it, and otherwise a single `[o, k] × [k, n·oh·ow]` GEMM over the
+/// virtual-im2col [`ColPacker`]. Both accumulate in the same order, so
+/// results are bit-identical to the per-sample reference
+/// ([`crate::reference::conv2d_reference`]) followed by the epilogue.
 ///
 /// # Errors
 ///
 /// Returns an error if the operands are not rank 4, the channel counts
-/// disagree, the stride is zero, or the kernel exceeds the padded input.
-pub fn conv2d(
+/// disagree, the stride is zero, the kernel exceeds the padded input, or
+/// an epilogue table does not have one value per output channel.
+pub fn conv2d<'a>(
     input: &Tensor,
-    weight: &Tensor,
+    weight: impl Into<ConvWeight<'a>>,
     stride: usize,
     padding: usize,
 ) -> Result<Tensor, TensorError> {
+    let ConvWeight { weight, epilogue } = weight.into();
     check_rank4(input, "conv2d input")?;
     check_rank4(weight, "conv2d weight")?;
     let (o, wc, kh, kw) = (
@@ -451,8 +654,84 @@ pub fn conv2d(
         });
     }
     let d = ConvDims::resolve(input.shape(), o, (kh, kw), stride, padding)?;
-    let cols = d.n * d.spat;
+    epilogue.check(d.o)?;
     let mut out = Tensor::zeros(&[d.n, d.o, d.oh, d.ow]);
+    match direct::select(Isa::detect(), d.o, d.kw, d.ow, stride) {
+        Some((kernel, block)) => conv_direct(
+            input, weight, &d, stride, padding, &epilogue, kernel, block, &mut out,
+        ),
+        None => conv_gemm(input, weight, &d, stride, padding, &epilogue, &mut out),
+    }
+    Ok(out)
+}
+
+/// The direct-kernel forward path: stages the (phase-split) padded input
+/// and the `[k, block]` transposed weights in scratch, then runs `kernel`
+/// over the batch, storing through `epilogue`.
+#[allow(clippy::too_many_arguments)]
+fn conv_direct(
+    input: &Tensor,
+    weight: &Tensor,
+    d: &ConvDims,
+    stride: usize,
+    padding: usize,
+    epilogue: &Epilogue<'_>,
+    kernel: direct::DirectFn,
+    block: usize,
+    out: &mut Tensor,
+) {
+    let sample_in = d.c * d.hp * d.split_row(stride);
+    let flops = 2usize
+        .saturating_mul(d.k)
+        .saturating_mul(d.o)
+        .saturating_mul(d.n * d.spat);
+    let run = |src: &[f32], out: &mut Tensor| {
+        with_scratch(d.k * block, |wt| {
+            for (p, tap) in wt.chunks_exact_mut(block).enumerate() {
+                for (oi, t) in tap.iter_mut().enumerate() {
+                    *t = if oi < d.o {
+                        weight.data()[oi * d.k + p]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            let wt = &*wt;
+            for_sample_chunks(out.data_mut(), d.o * d.spat, flops, |n0, chunk| {
+                let nb = chunk.len() / (d.o * d.spat);
+                kernel(
+                    &src[n0 * sample_in..][..nb * sample_in],
+                    wt,
+                    d,
+                    stride,
+                    epilogue,
+                    chunk,
+                );
+            });
+        });
+    };
+    if padding == 0 && stride == 1 {
+        run(input.data(), out);
+    } else {
+        with_scratch(d.n * sample_in, |src| {
+            pad_into(input, padding, stride, src);
+            run(src, out);
+        });
+    }
+}
+
+/// The GEMM forward path: one `[o, k] × [k, n·oh·ow]` product over the
+/// virtual im2col, regrouped to NCHW through `epilogue`.
+fn conv_gemm(
+    input: &Tensor,
+    weight: &Tensor,
+    d: &ConvDims,
+    stride: usize,
+    padding: usize,
+    epilogue: &Epilogue<'_>,
+    out: &mut Tensor,
+) {
+    let cols = d.n * d.spat;
     let run = |padded: &[f32], out: &mut Tensor| {
         // [o, k] x [k, n*oh*ow] -> [o, n*oh*ow], columns packed on the
         // fly; the product is fully overwritten, so plain scratch is
@@ -464,11 +743,7 @@ pub fn conv2d(
                 d.k,
                 weight.data(),
                 Trans::N,
-                &ColPacker {
-                    padded,
-                    d: &d,
-                    stride,
-                },
+                &ColPacker { padded, d, stride },
                 prod,
             );
             // Regroup [o, n*oh*ow] -> NCHW [n, o, oh, ow].
@@ -477,20 +752,21 @@ pub fn conv2d(
                 for oi in 0..d.o {
                     let s0 = oi * cols + ni * d.spat;
                     let d0 = (ni * d.o + oi) * d.spat;
-                    dst[d0..d0 + d.spat].copy_from_slice(&prod[s0..s0 + d.spat]);
+                    let dst = &mut dst[d0..d0 + d.spat];
+                    dst.copy_from_slice(&prod[s0..s0 + d.spat]);
+                    epilogue.apply(oi, dst);
                 }
             }
         });
     };
     if padding == 0 {
-        run(input.data(), &mut out);
+        run(input.data(), out);
     } else {
-        with_zeroed_scratch(d.n * d.c * d.hp * d.wp, |padded| {
-            pad_into(input, padding, padded);
-            run(padded, &mut out);
+        with_scratch(d.n * d.c * d.hp * d.wp, |padded| {
+            pad_into(input, padding, 1, padded);
+            run(padded, out);
         });
     }
-    Ok(out)
 }
 
 /// Gradient of a convolution with respect to its weights.
@@ -549,8 +825,8 @@ pub fn conv2d_backward_weight(
     if padding == 0 {
         run(input.data(), &mut grad_w);
     } else {
-        with_zeroed_scratch(d.n * d.c * d.hp * d.wp, |padded| {
-            pad_into(input, padding, padded);
+        with_scratch(d.n * d.c * d.hp * d.wp, |padded| {
+            pad_into(input, padding, 1, padded);
             run(padded, &mut grad_w);
         });
     }
@@ -714,25 +990,19 @@ fn bwd_input_samples_avx512(
 }
 
 fn select_bwd_input() -> BwdInputFn {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-        {
-            // SAFETY: reached only after runtime AVX-512F+VL detection.
-            return |w, grad, d, h, width, stride, pad, ni0, out| unsafe {
-                bwd_input_samples_avx512(w, grad, d, h, width, stride, pad, ni0, out)
-            };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `bwd_input_samples_avx2` only requires AVX2,
-            // which the detection above just confirmed.
-            return |w, grad, d, h, width, stride, pad, ni0, out| unsafe {
-                bwd_input_samples_avx2(w, grad, d, h, width, stride, pad, ni0, out)
-            };
-        }
+    match Isa::detect() {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => |w, grad, d, h, width, stride, pad, ni0, out| {
+            // SAFETY: `Isa::detect` confirmed AVX-512F+VL support.
+            unsafe { bwd_input_samples_avx512(w, grad, d, h, width, stride, pad, ni0, out) }
+        },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => |w, grad, d, h, width, stride, pad, ni0, out| {
+            // SAFETY: `Isa::detect` confirmed AVX2 support.
+            unsafe { bwd_input_samples_avx2(w, grad, d, h, width, stride, pad, ni0, out) }
+        },
+        _ => bwd_input_samples_generic,
     }
-    bwd_input_samples_generic
 }
 
 /// Gradient of a convolution with respect to its input.
@@ -813,34 +1083,13 @@ pub fn conv2d_backward_input(
         return Ok(grad);
     }
     let kernel = select_bwd_input();
-    let run = |ni0: usize, out_chunk: &mut [f32]| {
-        kernel(wd, go, &d, h, w, stride, padding, ni0, out_chunk)
-    };
-    let threads = bprom_par::thread_count();
     let flops = 2usize
         .saturating_mul(d.k)
         .saturating_mul(d.o)
         .saturating_mul(d.n * d.spat);
-    if threads <= 1 || flops < crate::kernels::PAR_MIN_FLOPS || bprom_par::in_parallel_worker() {
-        run(0, grad.data_mut());
-    } else {
-        // Split the batch: samples are independent, so partitioning
-        // cannot change any value.
-        let chunks = threads.min(d.n);
-        let per = d.n.div_ceil(chunks);
-        let tasks = d.n.div_ceil(per);
-        let blocks = bprom_par::par_map_indexed(tasks, |t| {
-            let ni0 = t * per;
-            let nb = per.min(d.n - ni0);
-            let mut buf = vec![0.0f32; nb * sample_in];
-            run(ni0, &mut buf);
-            buf
-        });
-        for (t, buf) in blocks.iter().enumerate() {
-            let ni0 = t * per;
-            grad.data_mut()[ni0 * sample_in..ni0 * sample_in + buf.len()].copy_from_slice(buf);
-        }
-    }
+    for_sample_chunks(grad.data_mut(), sample_in, flops, |ni0, out_chunk| {
+        kernel(wd, go, &d, h, w, stride, padding, ni0, out_chunk)
+    });
     Ok(grad)
 }
 
@@ -867,6 +1116,12 @@ mod tests {
             let slow = conv2d_naive(&input, &weight, stride, pad);
             assert_close(&fast, &slow, 1e-4);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "offset table holds at most 2 values")]
+    fn offset_table_overflow_panics() {
+        take_array::<2>([1, 2, 3].into_iter());
     }
 
     #[test]
@@ -958,6 +1213,214 @@ mod tests {
         assert!(conv2d(&input, &big_kernel, 1, 0).is_err());
         let wrong_ch = Tensor::zeros(&[1, 2, 3, 3]);
         assert!(conv2d(&input, &wrong_ch, 1, 1).is_err());
+    }
+
+    fn assert_same_bits(a: &Tensor, b: &Tensor, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            // NaN payloads are not pinned: LLVM may commute the operands
+            // of a multiply or add. Every other bit is.
+            assert!(
+                x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan(),
+                "{what}: element {i}: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    /// The unfused epilogue: separate bias, batch-norm and ReLU passes.
+    fn epilogue_passes(t: &mut Tensor, bias: &[f32], norm: &ChannelNorm<'_>) {
+        let o = bias.len();
+        let plane = t.len() / t.shape()[0] / o;
+        for (i, vals) in t.data_mut().chunks_exact_mut(plane).enumerate() {
+            let c = i % o;
+            for v in vals.iter_mut() {
+                *v += bias[c];
+            }
+            for v in vals.iter_mut() {
+                let xh = (*v - norm.mean[c]) * norm.inv_std[c];
+                *v = norm.gamma[c] * xh + norm.beta[c];
+            }
+            for v in vals.iter_mut() {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+    }
+
+    /// Every direct-kernel instantiation the host can run, not only the
+    /// one [`conv2d`] selects, against the scalar reference — bitwise,
+    /// with NaN, ±inf and −0.0 in inputs and weights, with and without a
+    /// full epilogue. Covers both tile heights, a partial last tile row,
+    /// every accumulator block and both strides.
+    #[test]
+    fn every_supported_direct_kernel_matches_reference_bitwise() {
+        let mut rng = Rng::new(11);
+        // (n, c, o, k, stride, pad, h, w)
+        let shapes = [
+            (3, 3, 6, 3, 1, 1, 16, 16),
+            (2, 6, 10, 3, 2, 1, 16, 16),
+            (2, 10, 10, 3, 1, 1, 8, 8),
+            (2, 6, 10, 1, 2, 0, 16, 16),
+            (2, 6, 8, 1, 1, 0, 8, 8),
+            (2, 2, 1, 3, 1, 1, 5, 8),
+            (1, 4, 3, 2, 2, 0, 9, 17),
+            (1, 5, 12, 3, 1, 2, 7, 12),
+            (1, 3, 4, 5, 1, 2, 6, 4),
+        ];
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        let mut covered = 0;
+        for &(n, c, o, k, stride, pad, h, w) in &shapes {
+            let mut input = Tensor::randn(&[n, c, h, w], &mut rng);
+            let mut weight = Tensor::randn(&[o, c, k, k], &mut rng);
+            let (li, lw) = (input.len(), weight.len());
+            for (i, &v) in special.iter().enumerate() {
+                input.data_mut()[(37 * i + 5) % li] = v;
+                if o > 2 {
+                    // Leave the other channels finite so the comparison
+                    // also sees ordinary values.
+                    weight.data_mut()[(i * c * k * k + 1) % lw] = v;
+                }
+            }
+            let tables: Vec<Vec<f32>> = (0..5)
+                .map(|t| {
+                    (0..o)
+                        .map(|_| rng.normal() * if t == 2 { 0.1 } else { 1.0 })
+                        .collect()
+                })
+                .collect();
+            let inv_std: Vec<f32> = tables[2].iter().map(|s| 1.0 + s.abs()).collect();
+            let norm = ChannelNorm {
+                mean: &tables[1],
+                inv_std: &inv_std,
+                gamma: &tables[3],
+                beta: &tables[4],
+            };
+            let fused = Epilogue {
+                bias: Some(&tables[0]),
+                norm: Some(norm),
+                relu: true,
+            };
+            let reference =
+                crate::reference::conv2d_reference(&input, &weight, stride, pad).unwrap();
+            let mut reference_fused = reference.clone();
+            epilogue_passes(&mut reference_fused, &tables[0], &norm);
+            let d = ConvDims::resolve(input.shape(), o, (k, k), stride, pad).unwrap();
+            for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+                let Some((block, rows)) = direct::tile(isa, o, d.ow) else {
+                    continue;
+                };
+                let Some(kernel) = direct::kernel(isa, block, rows) else {
+                    continue;
+                };
+                let what = format!("{isa:?} n={n} c={c} o={o} k={k} s={stride} p={pad} {h}x{w}");
+                for (epi, want) in [(Epilogue::default(), &reference), (fused, &reference_fused)] {
+                    let mut out = Tensor::full(&[n, o, d.oh, d.ow], f32::NAN);
+                    conv_direct(
+                        &input, &weight, &d, stride, pad, &epi, kernel, block, &mut out,
+                    );
+                    assert_same_bits(&out, want, &what);
+                }
+                covered += 1;
+            }
+            // The public entry point, whichever kernel it picks.
+            let weight_op = ConvWeight {
+                weight: &weight,
+                epilogue: fused,
+            };
+            let out = conv2d(&input, weight_op, stride, pad).unwrap();
+            assert_same_bits(&out, &reference_fused, "conv2d with epilogue");
+        }
+        if Isa::detect() != Isa::Generic {
+            assert!(covered > 0, "no direct instantiation exercised");
+        }
+    }
+
+    /// Development profiler for the direct-kernel selection rule: times
+    /// the GEMM and every supported direct instantiation on the
+    /// small-channel inference shapes at the 48-row query batch,
+    /// single-threaded, and reports via the panic message. Run with
+    /// `cargo test --release -p bprom-tensor -- --ignored profile_forward_kernels`.
+    #[test]
+    #[ignore]
+    fn profile_forward_kernels() {
+        use std::time::Instant;
+        // (name, c, o, k, stride, pad, side)
+        const SHAPES: [(&str, usize, usize, usize, usize, usize, usize); 15] = [
+            ("stem 3>6", 3, 6, 3, 1, 1, 16),
+            ("block1 6>6", 6, 6, 3, 1, 1, 16),
+            ("block2a 6>10 s2", 6, 10, 3, 2, 1, 16),
+            ("block2b 10>10 8x8", 10, 10, 3, 1, 1, 8),
+            ("proj 6>10 1x1 s2", 6, 10, 1, 2, 0, 16),
+            ("stem 3>8", 3, 8, 3, 1, 1, 16),
+            ("block1 8>8", 8, 8, 3, 1, 1, 16),
+            ("stem 3>12", 3, 12, 3, 1, 1, 16),
+            ("block1 12>12", 12, 12, 3, 1, 1, 16),
+            ("pw 6>8 8x8", 6, 8, 1, 1, 0, 8),
+            ("pw 8>10 8x8", 8, 10, 1, 1, 0, 8),
+            // MobileNetMini's depthwise convs run one channel at a time.
+            ("dw 1>1 s2", 1, 1, 3, 2, 1, 16),
+            ("dw 1>1 8x8", 1, 1, 3, 1, 1, 8),
+            ("stem 3>4", 3, 4, 3, 1, 1, 16),
+            ("block1 4>4", 4, 4, 3, 1, 1, 16),
+        ];
+        let n = 48;
+        bprom_par::set_thread_count(1);
+        // Best of 7 rounds of 40 calls, the candidates interleaved within
+        // each round so host drift hits them alike.
+        let time = |fs: &mut [&mut dyn FnMut()]| {
+            let mut best = vec![f64::MAX; fs.len()];
+            for _ in 0..7 {
+                for (f, b) in fs.iter_mut().zip(&mut best) {
+                    let t0 = Instant::now();
+                    for _ in 0..40 {
+                        f();
+                    }
+                    *b = b.min(t0.elapsed().as_secs_f64() / 40.0 * 1e6);
+                }
+            }
+            best
+        };
+        let mut rng = Rng::new(42);
+        let mut report = String::new();
+        for &(name, c, o, k, stride, pad, side) in &SHAPES {
+            let input = Tensor::randn(&[n, c, side, side], &mut rng);
+            let weight = Tensor::randn(&[o, c, k, k], &mut rng);
+            let d = ConvDims::resolve(input.shape(), o, (k, k), stride, pad).unwrap();
+            let epi = Epilogue::default();
+            let mut reference = Tensor::zeros(&[n, o, d.oh, d.ow]);
+            conv_gemm(&input, &weight, &d, stride, pad, &epi, &mut reference);
+            let isas: Vec<(Isa, usize, direct::DirectFn)> = Isa::ALL
+                .into_iter()
+                .filter(|i| i.supported())
+                .filter_map(|isa| {
+                    let (block, rows) = direct::tile(isa, o, d.ow)?;
+                    Some((isa, block, direct::kernel(isa, block, rows)?))
+                })
+                .collect();
+            let mut outs = vec![Tensor::zeros(&[n, o, d.oh, d.ow]); isas.len() + 1];
+            let (gemm_out, direct_outs) = outs.split_first_mut().unwrap();
+            let mut gemm = || conv_gemm(&input, &weight, &d, stride, pad, &epi, gemm_out);
+            let mut runs: Vec<Box<dyn FnMut()>> = isas
+                .iter()
+                .zip(direct_outs.iter_mut())
+                .map(|(&(_, block, kernel), out)| {
+                    let (input, weight, d, epi) = (&input, &weight, &d, &epi);
+                    Box::new(move || {
+                        conv_direct(input, weight, d, stride, pad, epi, kernel, block, out)
+                    }) as Box<dyn FnMut()>
+                })
+                .collect();
+            let mut fs: Vec<&mut dyn FnMut()> = vec![&mut gemm];
+            fs.extend(runs.iter_mut().map(|r| &mut **r as &mut dyn FnMut()));
+            let t = time(&mut fs);
+            drop(runs);
+            report.push_str(&format!("\n{name}: gemm {:.0}us", t[0]));
+            for ((isa, ..), (ti, out)) in isas.iter().zip(t[1..].iter().zip(&outs[1..])) {
+                assert_eq!(out, &reference, "{name} {isa:?}");
+                report.push_str(&format!(" | {isa:?} {ti:.0}us ({:.2}x)", t[0] / ti));
+            }
+        }
+        bprom_par::set_thread_count(0);
+        panic!("{report}");
     }
 
     /// Development profiler, not a correctness test: reports per-layer,

@@ -1,6 +1,7 @@
-//! Packed, cache-blocked GEMM driver — the single compute kernel behind
+//! Packed, cache-blocked GEMM driver — the compute kernel behind
 //! [`Tensor::matmul`](crate::Tensor::matmul), `matmul_tn`, `matmul_nt`,
-//! and the batched-im2col convolutions in [`crate::conv`].
+//! and the batched-im2col convolutions in [`crate::conv`] (small-channel
+//! forward convolutions take the direct kernel of [`crate::direct`]).
 //!
 //! # Architecture
 //!
@@ -52,6 +53,9 @@ pub(crate) const NR: usize = 8;
 /// k-panel depth: one packed `KC × NR` B-strip (8 KiB) plus a
 /// `MR × KC` A-strip (4 KiB) sit comfortably in L1.
 const KC: usize = 256;
+/// The deepest k-panel the driver packs: a reduction up to this deep runs
+/// as one stretched panel (see `gemm_block_inner`).
+pub(crate) const KC_MAX: usize = KC + KC / 2;
 /// Rows of A packed per block (multiple of `MR`).
 const MC: usize = 64;
 /// Columns of B packed per panel (multiple of `NR`).
@@ -171,35 +175,80 @@ fn microkernel_avx512(
 
 type MicroFn = fn(&[f32], &[f32], usize, &mut [f32], usize, usize, usize, usize, bool);
 
-/// Picks the widest microkernel instantiation the running CPU supports
-/// and the A-strip row width (`mr`) it wants its panels packed with.
-/// Detection is cached by `std`, and every instantiation computes the
-/// identical bit pattern, so the choice affects speed only.
-fn select_microkernel() -> (MicroFn, usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-        {
+/// The instruction sets the kernels are instantiated for. Every
+/// instantiation compiles the same safe body, so all of them compute the
+/// identical bit pattern and the choice affects speed only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// AVX-512F + VL: EVEX encodings and 32 vector registers.
+    Avx512,
+    /// AVX2: 256-bit vectors, 16 registers.
+    Avx2,
+    /// The baseline target features (SSE2 on x86-64, NEON on aarch64).
+    Generic,
+}
+
+impl Isa {
+    /// Every instantiation, widest first.
+    pub(crate) const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Generic];
+
+    /// Whether the running CPU can execute this instantiation. Detection
+    /// is cached by `std`.
+    pub(crate) fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512vl")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Isa::Generic => true,
+            #[allow(unreachable_patterns)]
+            _ => false,
+        }
+    }
+
+    /// The widest instantiation the running CPU supports.
+    pub(crate) fn detect() -> Isa {
+        Isa::ALL
+            .into_iter()
+            .find(|isa| isa.supported())
+            .unwrap_or(Isa::Generic)
+    }
+}
+
+/// The microkernel instantiation for `isa` and the A-strip row width
+/// (`mr`) it wants its panels packed with.
+///
+/// # Panics
+///
+/// If the running CPU does not support `isa` (see [`Isa::supported`]).
+fn microkernel(isa: Isa) -> (MicroFn, usize) {
+    assert!(isa.supported(), "{isa:?} microkernel on a CPU without it");
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => {
             let micro: MicroFn = |astrip, bstrip, kc, out, o0, ld, rows, cols, first_panel| {
-                // SAFETY: reached only after runtime AVX-512F+VL detection.
+                // SAFETY: `microkernel` asserted AVX-512F+VL support.
                 unsafe {
                     microkernel_avx512(astrip, bstrip, kc, out, o0, ld, rows, cols, first_panel)
                 }
             };
-            return (micro, MR_WIDE);
+            (micro, MR_WIDE)
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => {
             let micro: MicroFn = |astrip, bstrip, kc, out, o0, ld, rows, cols, first_panel| {
-                // SAFETY: reached only after runtime AVX2 detection succeeded.
+                // SAFETY: `microkernel` asserted AVX2 support.
                 unsafe {
                     microkernel_avx2(astrip, bstrip, kc, out, o0, ld, rows, cols, first_panel)
                 }
             };
-            return (micro, MR_WIDE);
+            (micro, MR_WIDE)
         }
+        _ => (microkernel_generic, MR),
     }
-    (microkernel_generic, MR)
 }
 
 /// Sequential packed GEMM over one block of C: writes
@@ -222,7 +271,7 @@ fn gemm_block<P: BPacker>(
     out: &mut [f32],
     ld: usize,
 ) {
-    let (micro, mr) = select_microkernel();
+    let (micro, mr) = microkernel(Isa::detect());
     crate::workspace::with_pooled_vec(|apack| {
         crate::workspace::with_pooled_vec(|bpack| {
             gemm_block_inner(
@@ -255,7 +304,7 @@ fn gemm_block_inner<P: BPacker>(
     // few k-steps; stretch the panel instead (strip buffers stay well
     // within L1). Panel boundaries don't change values — the k order is
     // fixed either way.
-    let kc_step = if k <= KC + KC / 2 { k } else { KC };
+    let kc_step = if k <= KC_MAX { k } else { KC };
     let mut jc = 0;
     while jc < nb {
         let nc = NC.min(nb - jc);
@@ -435,6 +484,59 @@ mod tests {
             let mut c = vec![f32::NAN; m * n];
             gemm(m, n, k, &a, Trans::N, &b, Trans::N, &mut c);
             assert_eq!(c, model(m, n, k, &a, &b), "m={m} k={k} n={n}");
+        }
+    }
+
+    /// Every microkernel instantiation the host can run, not only the
+    /// one the driver selects, against the scalar model — bitwise, with
+    /// NaN, ±inf and −0.0 among the operands.
+    #[test]
+    fn every_supported_microkernel_matches_scalar_model_bitwise() {
+        let mut rng = Rng::new(10);
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        for &(m, k, n) in &[(3, 5, 7), (MR_WIDE + 1, KC + 3, NR + 1), (17, 31, 13)] {
+            let mut a = randn(m * k, &mut rng);
+            let mut b = randn(k * n, &mut rng);
+            let (la, lb) = (a.len(), b.len());
+            for (i, &v) in special.iter().enumerate() {
+                a[(7 * i + 1) % la] = v;
+                b[(5 * i + 2) % lb] = v;
+            }
+            let want = model(m, n, k, &a, &b);
+            for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+                let (micro, mr) = microkernel(isa);
+                let mut c = vec![f32::NAN; m * n];
+                let (mut apack, mut bpack) = (Vec::new(), Vec::new());
+                let bpacker = SliceB {
+                    b: &b,
+                    tb: Trans::N,
+                    k,
+                    n,
+                };
+                gemm_block_inner(
+                    &a,
+                    Trans::N,
+                    &bpacker,
+                    m,
+                    k,
+                    0,
+                    m,
+                    0,
+                    n,
+                    &mut c,
+                    n,
+                    micro,
+                    mr,
+                    &mut apack,
+                    &mut bpack,
+                );
+                for (i, (x, y)) in c.iter().zip(&want).enumerate() {
+                    assert!(
+                        x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan(),
+                        "{isa:?} m={m} k={k} n={n} element {i}: {x:?} vs {y:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -15,9 +15,12 @@
 //!   convolution directions run on one packed, cache-blocked GEMM driver
 //!   ([`kernels`] + [`pack`], threaded over `bprom-par`), with the
 //!   pre-kernel scalar implementations retained in [`reference`] as
-//!   correctness oracles and benchmark baselines. The driver's fixed
-//!   k-accumulation order keeps results byte-identical at any
-//!   `BPROM_THREADS`.
+//!   correctness oracles and benchmark baselines. Forward convolutions
+//!   with few output channels take a direct register-blocked kernel
+//!   (`direct`) where it measured faster, storing through an optional
+//!   fused [`Epilogue`]. Both kernels share one fixed k-accumulation
+//!   order, which keeps results byte-identical at any `BPROM_THREADS`
+//!   and on either path.
 //! * Every fallible operation returns [`Result`]; shape mismatches are
 //!   errors, not panics.
 //! * All randomness flows through [`Rng`], a SplitMix64-seeded xoshiro256++
@@ -46,6 +49,7 @@
 #![allow(clippy::manual_is_multiple_of)]
 
 mod conv;
+mod direct;
 mod error;
 mod kernels;
 mod matmul;
@@ -58,7 +62,10 @@ mod shape;
 mod tensor;
 mod workspace;
 
-pub use conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, pad2d, unpad2d};
+pub use conv::{
+    conv2d, conv2d_backward_input, conv2d_backward_weight, pad2d, unpad2d, ChannelNorm, ConvWeight,
+    Epilogue,
+};
 pub use error::TensorError;
 pub use pool::{avgpool2d, avgpool2d_backward, maxpool2d, maxpool2d_backward};
 pub use rng::Rng;

@@ -2,9 +2,9 @@
 //!
 //! The kernel-backed conv directions need multi-megabyte intermediates
 //! (the `[o, n·oh·ow]` product, the `[c·kh·kw, n·oh·ow]` column
-//! gradient, padded input copies). Allocations that size bypass malloc
-//! free lists and go straight to `mmap`, so a fresh `Vec` per call
-//! re-pays soft page faults on every conv — a real cost next to
+//! gradient, padded and phase-split input copies). Allocations that size
+//! bypass malloc free lists and go straight to `mmap`, so a fresh `Vec`
+//! per call re-pays soft page faults on every conv — a real cost next to
 //! microkernels that finish in microseconds. The pool below hands out
 //! grow-only buffers that stay warm across calls on the same thread.
 //!
@@ -46,29 +46,15 @@ pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R 
     })
 }
 
-/// Like [`with_scratch`], but the slice starts zero-filled — for
-/// scatter targets and padded copies whose ring must read as `0.0`.
-pub(crate) fn with_zeroed_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    with_pooled(|buf| {
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        let s = &mut buf[..len];
-        s.fill(0.0);
-        f(s)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn scratch_reuses_and_zeroed_clears() {
+    fn scratch_reuses_buffers() {
         with_scratch(8, |s| s.fill(7.0));
         // Same thread: the pooled buffer comes back with stale contents.
         with_scratch(4, |s| assert_eq!(s, [7.0; 4]));
-        with_zeroed_scratch(8, |s| assert_eq!(s, [0.0; 8]));
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Property sweep for the packed GEMM + batched-im2col conv kernels:
-//! every kernel-backed op is checked against the retained scalar oracles
-//! in `bprom_tensor::reference` over seeded sweeps of awkward shapes —
-//! unit dims, primes, and ±1 around every blocking parameter
-//! (MR 4 / MR_WIDE·NR 8, MC 64, KC 256, NC 512).
+//! Property sweep for the packed GEMM + batched-im2col conv kernels and
+//! the direct small-channel forward kernel: every kernel-backed op is
+//! checked against the retained scalar oracles in
+//! `bprom_tensor::reference` over seeded sweeps of awkward shapes — unit
+//! dims, primes, and ±1 around every blocking parameter (MR 4 /
+//! MR_WIDE·NR 8, MC 64, KC 256, NC 512) — plus ResNetMini's inference
+//! shapes, NaN/±inf/−0.0 operands, and the fused conv epilogue against
+//! its separate passes.
 //!
 //! Equality is **bitwise** wherever the determinism contract promises it
 //! (`matmul`/`matmul_tn`/`matmul_nt`, `conv2d`, `conv2d_backward_input`,
@@ -23,7 +26,8 @@ use bprom_suite::tensor::reference::{
     matmul_reference,
 };
 use bprom_suite::tensor::{
-    conv2d, conv2d_backward_input, conv2d_backward_weight, pad2d, Rng, Tensor,
+    conv2d, conv2d_backward_input, conv2d_backward_weight, pad2d, ChannelNorm, ConvWeight,
+    Epilogue, Rng, Tensor,
 };
 use std::sync::Mutex;
 
@@ -50,6 +54,19 @@ fn assert_bits(a: &Tensor, b: &Tensor, what: &str) {
         assert_eq!(
             x.to_bits(),
             y.to_bits(),
+            "{what}: element {i} differs: {x:?} vs {y:?}"
+        );
+    }
+}
+
+/// [`assert_bits`] for operands holding NaN: every bit must match except
+/// NaN payloads, which LLVM may pick from either operand of a multiply or
+/// add. A NaN must still land exactly where the oracle has one.
+fn assert_bits_or_both_nan(a: &Tensor, b: &Tensor, what: &str) {
+    assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
+    for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan(),
             "{what}: element {i} differs: {x:?} vs {y:?}"
         );
     }
@@ -230,6 +247,140 @@ fn conv2d_bitwise_matches_reference() {
     }
 }
 
+/// ResNetMini's inference convolutions at the 48-row query batch (the
+/// shapes the direct small-channel kernel serves), plus the `1 × 1`
+/// stride-2 projection the GEMM keeps and the single-channel `3 × 3`
+/// convs MobileNetMini's depthwise layers run per channel:
+/// `(c, o, k, stride, pad, side)`.
+const INFERENCE_SHAPES: [(usize, usize, usize, usize, usize, usize); 8] = [
+    (3, 6, 3, 1, 1, 16),
+    (6, 6, 3, 1, 1, 16),
+    (6, 10, 3, 2, 1, 16),
+    (10, 10, 3, 1, 1, 8),
+    (6, 10, 1, 2, 0, 16),
+    (6, 10, 3, 2, 1, 8),
+    (1, 1, 3, 2, 1, 16),
+    (1, 1, 3, 1, 1, 8),
+];
+
+#[test]
+fn conv2d_bitwise_matches_reference_on_inference_shapes() {
+    let mut rng = case_rng(0x500);
+    for (i, &(c, o, k, stride, pad, side)) in INFERENCE_SHAPES.iter().enumerate() {
+        let x = Tensor::randn(&[48, c, side, side], &mut rng);
+        let wt = Tensor::randn(&[o, c, k, k], &mut rng);
+        let fast = conv2d(&x, &wt, stride, pad).unwrap();
+        let oracle = conv2d_reference(&x, &wt, stride, pad).unwrap();
+        assert_bits(
+            &fast,
+            &oracle,
+            &format!("shape {i}: {c}>{o} k{k} s{stride} {side}x{side}"),
+        );
+    }
+}
+
+/// Writes NaN, ±inf and −0.0 into a few elements of `t`.
+fn poison(t: &mut Tensor, salt: usize) {
+    let len = t.len();
+    for (i, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0]
+        .into_iter()
+        .enumerate()
+    {
+        t.data_mut()[(salt + 97 * i) % len] = v;
+    }
+}
+
+/// NaN, ±inf and −0.0 in inputs and weights propagate exactly as in the
+/// scalar reference — the padded `0 · inf = NaN` products included.
+#[test]
+fn conv2d_special_values_match_reference() {
+    let shapes = (0..CASES).map(|case| {
+        let cc = conv_case(&mut case_rng(0x600 ^ case));
+        (
+            cc.n, cc.c, cc.o, cc.kh, cc.kw, cc.stride, cc.pad, cc.h, cc.w,
+        )
+    });
+    let inference = INFERENCE_SHAPES
+        .iter()
+        .map(|&(c, o, k, s, p, side)| (48, c, o, k, k, s, p, side, side));
+    for (case, (n, c, o, kh, kw, stride, pad, h, w)) in shapes.chain(inference).enumerate() {
+        let mut rng = case_rng(0x700 ^ case as u64);
+        let mut x = Tensor::randn(&[n, c, h, w], &mut rng);
+        let mut wt = Tensor::randn(&[o, c, kh, kw], &mut rng);
+        poison(&mut x, case);
+        poison(&mut wt, 3 * case + 1);
+        let fast = conv2d(&x, &wt, stride, pad).unwrap();
+        let oracle = conv2d_reference(&x, &wt, stride, pad).unwrap();
+        assert_bits_or_both_nan(&fast, &oracle, &format!("case {case}: special values"));
+    }
+}
+
+/// A convolution stored through a bias + batch-norm + ReLU epilogue is
+/// bit for bit the plain convolution followed by the three separate
+/// passes, in both forward kernels.
+#[test]
+fn conv2d_epilogue_is_bitwise_the_unfused_passes() {
+    let shapes = (0..CASES).map(|case| {
+        let cc = conv_case(&mut case_rng(0x800 ^ case));
+        (cc.n, cc.c, cc.o, cc.kh, cc.stride, cc.pad, cc.h)
+    });
+    let inference = INFERENCE_SHAPES
+        .iter()
+        .map(|&(c, o, k, s, p, side)| (48, c, o, k, s, p, side));
+    for (case, (n, c, o, k, stride, pad, side)) in shapes.chain(inference).enumerate() {
+        if side + 2 * pad < k {
+            continue;
+        }
+        let mut rng = case_rng(0x900 ^ case as u64);
+        let x = Tensor::randn(&[n, c, side, side], &mut rng);
+        let wt = Tensor::randn(&[o, c, k, k], &mut rng);
+        let table = |rng: &mut Rng| -> Vec<f32> { (0..o).map(|_| rng.normal()).collect() };
+        let (bias, mean, gamma, beta) = (
+            table(&mut rng),
+            table(&mut rng),
+            table(&mut rng),
+            table(&mut rng),
+        );
+        let inv_std: Vec<f32> = (0..o).map(|_| 0.5 + rng.uniform()).collect();
+        let norm = ChannelNorm {
+            mean: &mean,
+            inv_std: &inv_std,
+            gamma: &gamma,
+            beta: &beta,
+        };
+        let mut unfused = conv2d(&x, &wt, stride, pad).unwrap();
+        let plane = unfused.len() / (n * o);
+        for (i, vals) in unfused.data_mut().chunks_exact_mut(plane).enumerate() {
+            let ch = i % o;
+            for v in vals.iter_mut() {
+                *v += bias[ch];
+            }
+            for v in vals.iter_mut() {
+                let xh = (*v - mean[ch]) * inv_std[ch];
+                *v = gamma[ch] * xh + beta[ch];
+            }
+            for v in vals.iter_mut() {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+        let fused = conv2d(
+            &x,
+            ConvWeight {
+                weight: &wt,
+                epilogue: Epilogue {
+                    bias: Some(&bias),
+                    norm: Some(norm),
+                    relu: true,
+                },
+            },
+            stride,
+            pad,
+        )
+        .unwrap();
+        assert_bits(&fused, &unfused, &format!("case {case}: fused epilogue"));
+    }
+}
+
 #[test]
 fn conv2d_backward_input_bitwise_matches_reference() {
     for case in 0..CASES {
@@ -302,11 +453,15 @@ fn results_invariant_under_thread_count() {
     let b = Tensor::randn(&[129, 128], &mut rng);
     let x = Tensor::randn(&[8, 8, 16, 16], &mut rng);
     let wt = Tensor::randn(&[32, 8, 3, 3], &mut rng);
+    // A small-channel shape for the direct forward kernel's batch split.
+    let xs = Tensor::randn(&[48, 6, 16, 16], &mut rng);
+    let ws = Tensor::randn(&[6, 6, 3, 3], &mut rng);
     let y1;
     let gw1;
     let gx1;
     let mm1;
     par::set_thread_count(1);
+    let ys1 = conv2d(&xs, &ws, 1, 1).unwrap();
     {
         mm1 = a.matmul(&b).unwrap();
         y1 = conv2d(&x, &wt, 1, 1).unwrap();
@@ -320,7 +475,9 @@ fn results_invariant_under_thread_count() {
     let gy = Tensor::ones(y4.shape());
     let gw4 = conv2d_backward_weight(&x, &gy, (3, 3), 1, 1).unwrap();
     let gx4 = conv2d_backward_input(&wt, &gy, x.shape(), 1, 1).unwrap();
+    let ys4 = conv2d(&xs, &ws, 1, 1).unwrap();
     par::set_thread_count(0);
+    assert_bits(&ys1, &ys4, "small-channel conv2d 1t vs 4t");
     assert_bits(&mm1, &mm4, "matmul 1t vs 4t");
     assert_bits(&y1, &y4, "conv2d 1t vs 4t");
     assert_bits(&gw1, &gw4, "backward_weight 1t vs 4t");
@@ -355,6 +512,15 @@ fn degenerate_shapes_are_rejected_not_miscomputed() {
     assert!(conv2d_reference(&x, &w_big, 1, 0).is_err());
     let w_ok = Tensor::randn(&[1, 1, 2, 2], &mut rng);
     assert!(conv2d(&x, &w_ok, 0, 0).is_err());
+    // An epilogue table must hold one value per output channel.
+    let two_biases = ConvWeight {
+        weight: &w_ok,
+        epilogue: Epilogue {
+            bias: Some(&[0.5, 0.5]),
+            ..Epilogue::default()
+        },
+    };
+    assert!(conv2d(&x, two_biases, 1, 0).is_err());
     let gy = Tensor::randn(&[1, 1, 1, 1], &mut rng);
     assert!(conv2d_backward_input(&w_ok, &gy, &[1, 1, 2, 2], 0, 0).is_err());
     assert!(conv2d_backward_weight(&x, &gy, (2, 2), 0, 0).is_err());
