@@ -22,8 +22,8 @@ use bprom_vp::{CmaEs, VisualPrompt};
 /// out the packed kernel (~20%: pack overhead dominates); the branch was
 /// retired anyway because it cannot live inside the vectorized
 /// microkernel, and the pipeline's GEMM-shaped products — where the
-/// packed path wins outright — are what the gated `bench_kernels` floor
-/// measures.
+/// packed path wins outright — are what the conv-epoch speedup gate
+/// (`conv_epoch_speedup_gate`, bprom-tensor) measures.
 fn matmul_tn_zero_skip(a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = (a.shape()[0], a.shape()[1]);
     let n = b.shape()[1];

@@ -120,52 +120,6 @@ impl Drop for TelemetryGuard {
     }
 }
 
-/// RAII scratch directory for bench binaries that need disk state
-/// (snapshot stores, registries): created under the system temp dir as
-/// `<prefix>-<pid>`, removed on drop. Construction first sweeps stale
-/// same-prefix siblings left behind by crashed or killed prior runs, so
-/// the temp dir doesn't accumulate abandoned `bprom-bench-*` state —
-/// the leak the pid-suffixed ad-hoc dirs used to cause.
-///
-/// Bench binaries are not run concurrently against themselves; the sweep
-/// assumes any same-prefix sibling is stale.
-pub struct ScopedTempDir {
-    path: std::path::PathBuf,
-}
-
-impl ScopedTempDir {
-    /// Creates (and claims) `<temp>/<prefix>-<pid>`, sweeping stale
-    /// same-prefix directories first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn new(prefix: &str) -> std::io::Result<Self> {
-        let base = std::env::temp_dir();
-        if let Ok(entries) = std::fs::read_dir(&base) {
-            for entry in entries.flatten() {
-                if entry.file_name().to_string_lossy().starts_with(prefix) {
-                    std::fs::remove_dir_all(entry.path()).ok();
-                }
-            }
-        }
-        let path = base.join(format!("{prefix}-{}", std::process::id()));
-        std::fs::create_dir_all(&path)?;
-        Ok(ScopedTempDir { path })
-    }
-
-    /// The scratch directory's path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-}
-
-impl Drop for ScopedTempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.path).ok();
-    }
-}
-
 /// Prints a table header row.
 pub fn header(title: &str, columns: &[&str]) {
     println!("\n=== {title} ===");
@@ -205,22 +159,6 @@ mod tests {
         assert_eq!(report.audits, 0);
         let doc = bprom_obs::json::Value::parse(&json).unwrap();
         bprom_verdict::validate_incident(&doc).unwrap();
-    }
-
-    #[test]
-    fn scoped_tempdir_claims_and_sweeps() {
-        let stale = std::env::temp_dir().join("bprom-scoped-test-stale");
-        std::fs::create_dir_all(&stale).unwrap();
-        std::fs::write(stale.join("left-behind"), b"x").unwrap();
-        let path;
-        {
-            let dir = ScopedTempDir::new("bprom-scoped-test").unwrap();
-            path = dir.path().to_path_buf();
-            assert!(path.is_dir());
-            assert!(!stale.exists(), "stale same-prefix dir swept on create");
-            std::fs::write(path.join("scratch"), b"y").unwrap();
-        }
-        assert!(!path.exists(), "scratch dir removed on drop");
     }
 
     #[test]

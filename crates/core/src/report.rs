@@ -368,9 +368,9 @@ impl DetectionReport {
 
     /// Aggregate cache hit rate over the whole report
     /// (`total_cache_hits / (total_cache_hits + total_cache_misses)`).
-    /// Single-model audits sit below 1 % here (see BENCH_qcache.json);
-    /// fleet audits that reuse a model's cache across repeated
-    /// inspections are where this figure becomes material.
+    /// Single-model audits sit at a few percent at most here; fleet
+    /// audits that reuse a model's cache across repeated inspections are
+    /// where this figure becomes material (`tests/perf_gates.rs`).
     pub fn cache_hit_rate(&self) -> f32 {
         let total = self.total_cache_hits + self.total_cache_misses;
         if total == 0 {

@@ -17,6 +17,11 @@ fn validate(scores: &[f32], labels: &[bool]) -> Result<(usize, usize)> {
             reason: format!("{} scores for {} labels", scores.len(), labels.len()),
         });
     }
+    if let Some(i) = scores.iter().position(|s| s.is_nan()) {
+        return Err(MetricsError::InvalidInput {
+            reason: format!("score {i} is NaN"),
+        });
+    }
     let pos = labels.iter().filter(|&&l| l).count();
     let neg = labels.len() - pos;
     if pos == 0 || neg == 0 {
@@ -32,8 +37,8 @@ fn validate(scores: &[f32], labels: &[bool]) -> Result<(usize, usize)> {
 ///
 /// # Errors
 ///
-/// Returns [`MetricsError::InvalidInput`] on length mismatch or when either
-/// class is absent.
+/// Returns [`MetricsError::InvalidInput`] on length mismatch, a NaN score,
+/// or when either class is absent.
 pub fn auroc(scores: &[f32], labels: &[bool]) -> Result<f32> {
     let (pos, neg) = validate(scores, labels)?;
     // Rank-based computation handles ties exactly.
@@ -129,6 +134,21 @@ mod tests {
         // pairs: (0.8>0.6) (0.8>0.2) (0.4<0.6) (0.4>0.2) = 3/4.
         let auc = auroc(&[0.8, 0.4, 0.6, 0.2], &[true, true, false, false]).unwrap();
         assert!((auc - 0.75).abs() < 1e-6);
+    }
+
+    const NAN_SCORES: [f32; 4] = [0.9, f32::NAN, 0.2, 0.1];
+    const NAN_LABELS: [bool; 4] = [true, true, false, false];
+
+    #[test]
+    fn auroc_rejects_nan_score() {
+        let err = auroc(&NAN_SCORES, &NAN_LABELS).unwrap_err();
+        assert_eq!(err.to_string(), "invalid metric input: score 1 is NaN");
+    }
+
+    #[test]
+    fn roc_curve_rejects_nan_score() {
+        let err = roc_curve(&NAN_SCORES, &NAN_LABELS).unwrap_err();
+        assert_eq!(err.to_string(), "invalid metric input: score 1 is NaN");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! The word-per-step variant runs one multiply per pixel instead of
 //! byte-wise FNV's four, which keeps digesting far below forward-pass
-//! cost (the `bench_qcache` 0 %-hit leg gates this at < 5 % overhead).
+//! cost (`qcache_pure_miss_overhead_under_5_percent` in
+//! `tests/perf_gates.rs` gates the 0 %-hit cost at < 5 % overhead).
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -219,7 +219,22 @@ mod tests {
     #[test]
     fn packed_matmul_is_bit_identical_to_reference() {
         let mut rng = Rng::new(11);
-        for &(m, k, n) in &[(1, 1, 1), (5, 3, 7), (33, 65, 17), (64, 64, 64)] {
+        // Small blocking edges, then the pipeline's GEMMs at a batch of
+        // 32: ResNetMini's forward conv shapes (stem, block 1, block 2
+        // downsample, block 2, which is also the backward-weight shape),
+        // the dense head and a square shape past every blocking size.
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (5, 3, 7),
+            (33, 65, 17),
+            (64, 64, 64),
+            (8, 27, 8192),
+            (8, 72, 8192),
+            (32, 72, 2048),
+            (32, 288, 2048),
+            (32, 32, 10),
+            (256, 256, 256),
+        ] {
             let a = Tensor::randn(&[m, k], &mut rng);
             let b = Tensor::randn(&[k, n], &mut rng);
             let packed = a.matmul(&b).unwrap();

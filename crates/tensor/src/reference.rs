@@ -11,9 +11,10 @@
 //!   backward-input), within tolerance where the order intentionally
 //!   changed (conv backward-weight, which now reduces over one flat
 //!   whole-batch axis instead of per-sample partial sums).
-//! * **Honest baselines.** `bench_kernels` measures the speedup gate
-//!   against these, not against a strawman — they are the real pre-PR
-//!   hot path, per-sample im2col allocations included.
+//! * **Honest baselines.** The conv-epoch speedup gate
+//!   (`conv_epoch_speedup_gate` in [`crate::conv`]'s tests) measures
+//!   against these, not against a strawman — they are the real
+//!   pre-kernel hot path, per-sample im2col allocations included.
 //!
 //! Nothing in the pipeline calls these; they are `pub` for tests and
 //! benches only.

@@ -301,6 +301,8 @@ mod tests {
         assert_eq!(oracle.queries_used(), 4);
         oracle.query(&batch).unwrap();
         assert_eq!(oracle.queries_used(), 8);
+        // A bare oracle injects no faults and retries nothing.
+        assert_eq!(oracle.oracle_stats(), OracleStats::default());
     }
 
     #[test]
