@@ -70,6 +70,19 @@ pub trait Layer: Send + Sync {
     /// `grad_output` has the wrong shape.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
 
+    /// Accumulates the parameter gradients [`Layer::backward`] would, bit
+    /// for bit, for a caller that discards the input gradient — a
+    /// training step on a model's first layer ([`crate::Trainer::fit`]).
+    /// Layers that can skip that gradient's computation override it; the
+    /// default runs `backward` and drops the result.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
+
     /// Visits every `(parameter, gradient)` pair in a stable order.
     ///
     /// Optimizers rely on the visit order being identical across calls to

@@ -55,6 +55,13 @@ impl Conv2d {
         self.in_channels
     }
 
+    /// The input of the last caching forward pass.
+    fn cached_input(&self) -> Result<&Tensor> {
+        self.cached_input
+            .as_ref()
+            .ok_or(NnError::BackwardBeforeForward { layer: "Conv2d" })
+    }
+
     /// Eval-mode forward with `norm` and `relu` folded into the output
     /// store after the bias (see [`Epilogue`]): bit for bit the separate
     /// `BatchNorm2d` and `Relu` passes.
@@ -90,10 +97,20 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "Conv2d" })?;
+        self.backward_params(grad_output)?;
+        let input_shape = self.cached_input()?.shape();
+        Ok(conv2d_backward_input(
+            &self.weight.value,
+            grad_output,
+            input_shape,
+            self.stride,
+            self.padding,
+        )?)
+    }
+
+    /// The weight and bias gradients without the input gradient.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        let input = self.cached_input()?;
         let dw = conv2d_backward_weight(
             input,
             grad_output,
@@ -112,13 +129,7 @@ impl Layer for Conv2d {
                 gb[oi] += grad_output.data()[base..base + hw].iter().sum::<f32>();
             }
         }
-        Ok(conv2d_backward_input(
-            &self.weight.value,
-            grad_output,
-            input.shape(),
-            self.stride,
-            self.padding,
-        )?)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

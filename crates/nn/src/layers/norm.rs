@@ -94,22 +94,18 @@ impl Layer for BatchNorm2d {
         );
         let plane = h * w;
         let count = (n * plane) as f32;
-        let mut out = Tensor::zeros(input.shape());
-        let mut x_hat = Tensor::zeros(input.shape());
-        let mut inv_stds = vec![0.0f32; c];
-        for ci in 0..c {
-            let (mean, var) = match mode {
-                Mode::Frozen | Mode::Eval => (self.running_mean[ci], self.running_var[ci]),
-                Mode::Train => {
-                    let mut sum = 0.0f32;
-                    let mut sq = 0.0f32;
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * plane;
-                        for &v in &input.data()[base..base + plane] {
-                            sum += v;
-                            sq += v * v;
-                        }
-                    }
+        let x = input.data();
+        let stats: Vec<(f32, f32)> = match mode {
+            Mode::Frozen | Mode::Eval => self
+                .running_mean
+                .iter()
+                .copied()
+                .zip(self.running_var.iter().copied())
+                .collect(),
+            Mode::Train => channel_sums(x, x, c, plane)
+                .into_iter()
+                .enumerate()
+                .map(|(ci, (sum, sq))| {
                     let mean = sum / count;
                     let var = (sq / count - mean * mean).max(0.0);
                     self.running_mean[ci] =
@@ -117,19 +113,26 @@ impl Layer for BatchNorm2d {
                     self.running_var[ci] =
                         (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
                     (mean, var)
-                }
-            };
-            let inv_std = 1.0 / (var + EPS).sqrt();
-            inv_stds[ci] = inv_std;
-            let g = self.gamma.value.data()[ci];
-            let b = self.beta.value.data()[ci];
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                for i in base..base + plane {
-                    let xh = (input.data()[i] - mean) * inv_std;
-                    x_hat.data_mut()[i] = xh;
-                    out.data_mut()[i] = g * xh + b;
-                }
+                })
+                .collect(),
+        };
+        let inv_stds: Vec<f32> = stats
+            .iter()
+            .map(|&(_, var)| 1.0 / (var + EPS).sqrt())
+            .collect();
+        let mut out = Tensor::zeros(input.shape());
+        let mut x_hat = Tensor::zeros(input.shape());
+        let planes = x
+            .chunks_exact(plane)
+            .zip(x_hat.data_mut().chunks_exact_mut(plane))
+            .zip(out.data_mut().chunks_exact_mut(plane));
+        for (i, ((x_p, xh_p), out_p)) in planes.enumerate() {
+            let ci = i % c;
+            let (mean, inv_std) = (stats[ci].0, inv_stds[ci]);
+            let (g, b) = (self.gamma.value.data()[ci], self.beta.value.data()[ci]);
+            for ((&v, xh), o) in x_p.iter().zip(xh_p.iter_mut()).zip(out_p.iter_mut()) {
+                *xh = (v - mean) * inv_std;
+                *o = g * *xh + b;
             }
         }
         if mode.caches() {
@@ -163,42 +166,33 @@ impl Layer for BatchNorm2d {
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let plane = h * w;
         let count = (n * plane) as f32;
-        let mut grad_in = Tensor::zeros(grad_output.shape());
-        for ci in 0..c {
-            let g = self.gamma.value.data()[ci];
-            let inv_std = cache.inv_std[ci];
-            // Accumulate sums for the batch-norm backward formula.
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                for i in base..base + plane {
-                    let dy = grad_output.data()[i];
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * cache.x_hat.data()[i];
-                }
-            }
+        let dy = grad_output.data();
+        // Per channel: (Σ dy, Σ dy·x̂) for the batch-norm backward formula.
+        let sums = channel_sums(dy, cache.x_hat.data(), c, plane);
+        for (ci, &(sum_dy, sum_dy_xhat)) in sums.iter().enumerate() {
             self.gamma.grad.data_mut()[ci] += sum_dy_xhat;
             self.beta.grad.data_mut()[ci] += sum_dy;
+        }
+        let mut grad_in = Tensor::zeros(grad_output.shape());
+        let planes = dy
+            .chunks_exact(plane)
+            .zip(cache.x_hat.data().chunks_exact(plane))
+            .zip(grad_in.data_mut().chunks_exact_mut(plane));
+        for (i, ((dy_p, xh_p), gi_p)) in planes.enumerate() {
+            let ci = i % c;
+            let (g, inv_std) = (self.gamma.value.data()[ci], cache.inv_std[ci]);
             if cache.frozen {
                 // Frozen statistics are constants: dx = gamma * inv_std * dy.
                 let scale = g * inv_std;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for i in base..base + plane {
-                        grad_in.data_mut()[i] = scale * grad_output.data()[i];
-                    }
+                for (gi, &d) in gi_p.iter_mut().zip(dy_p) {
+                    *gi = scale * d;
                 }
             } else {
                 // dx = gamma*inv_std/count * (count*dy - sum_dy - x_hat*sum_dy_xhat)
                 let scale = g * inv_std / count;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for i in base..base + plane {
-                        let dy = grad_output.data()[i];
-                        let xh = cache.x_hat.data()[i];
-                        grad_in.data_mut()[i] = scale * (count * dy - sum_dy - xh * sum_dy_xhat);
-                    }
+                let (sum_dy, sum_dy_xhat) = sums[ci];
+                for ((gi, &d), &xh) in gi_p.iter_mut().zip(dy_p).zip(xh_p) {
+                    *gi = scale * (count * d - sum_dy - xh * sum_dy_xhat);
                 }
             }
         }
@@ -232,6 +226,52 @@ impl Layer for BatchNorm2d {
     fn fusable(&self) -> Fusable<'_> {
         Fusable::Norm(self)
     }
+}
+
+/// Per-channel `(Σ a, Σ a·b)` over an NCHW batch (`a` and `b` alike
+/// shaped, `c` channels of `plane` values per sample). Each channel's two
+/// sums are serial chains over its values in increasing `(n, h·w)` order
+/// from `+0.0`, as a plain per-channel loop computes them; four channels
+/// run interleaved so their add latencies overlap.
+fn channel_sums(a: &[f32], b: &[f32], c: usize, plane: usize) -> Vec<(f32, f32)> {
+    let mut sums = vec![(0.0, 0.0); c];
+    let mut c0 = 0;
+    while c0 < c {
+        c0 += match c - c0 {
+            1 => channel_block_sums::<1>(a, b, c, plane, c0, &mut sums),
+            2 => channel_block_sums::<2>(a, b, c, plane, c0, &mut sums),
+            3 => channel_block_sums::<3>(a, b, c, plane, c0, &mut sums),
+            _ => channel_block_sums::<4>(a, b, c, plane, c0, &mut sums),
+        };
+    }
+    sums
+}
+
+/// [`channel_sums`] for channels `c0..c0 + B`; returns `B`.
+fn channel_block_sums<const B: usize>(
+    a: &[f32],
+    b: &[f32],
+    c: usize,
+    plane: usize,
+    c0: usize,
+    sums: &mut [(f32, f32)],
+) -> usize {
+    let (mut sa, mut sab) = ([0.0f32; B], [0.0f32; B]);
+    for base in (c0 * plane..a.len()).step_by(c * plane) {
+        let rows_a: [&[f32]; B] = std::array::from_fn(|k| &a[base + k * plane..][..plane]);
+        let rows_b: [&[f32]; B] = std::array::from_fn(|k| &b[base + k * plane..][..plane]);
+        for j in 0..plane {
+            for k in 0..B {
+                let v = rows_a[k][j];
+                sa[k] += v;
+                sab[k] += v * rows_b[k][j];
+            }
+        }
+    }
+    for (k, sum) in sums[c0..c0 + B].iter_mut().enumerate() {
+        *sum = (sa[k], sab[k]);
+    }
+    B
 }
 
 /// Layer normalization over the last axis of `[n, t, d]` token tensors,

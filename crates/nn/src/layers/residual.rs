@@ -40,12 +40,12 @@ impl Residual {
 
 impl Layer for Residual {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let main = self.body.forward(input, mode)?;
-        let skip = match &mut self.shortcut {
-            Some(proj) => proj.forward(input, mode)?,
-            None => input.clone(),
-        };
-        Ok(main.add_t(&skip)?)
+        let mut main = self.body.forward(input, mode)?;
+        match &mut self.shortcut {
+            Some(proj) => main.add_in_place(&proj.forward(input, mode)?)?,
+            None => main.add_in_place(input)?,
+        }
+        Ok(main)
     }
 
     fn forward_eval(&self, input: &Tensor) -> Result<Tensor> {
@@ -58,12 +58,12 @@ impl Layer for Residual {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let g_main = self.body.backward(grad_output)?;
-        let g_skip = match &mut self.shortcut {
-            Some(proj) => proj.backward(grad_output)?,
-            None => grad_output.clone(),
-        };
-        Ok(g_main.add_t(&g_skip)?)
+        let mut g = self.body.backward(grad_output)?;
+        match &mut self.shortcut {
+            Some(proj) => g.add_in_place(&proj.backward(grad_output)?)?,
+            None => g.add_in_place(grad_output)?,
+        }
+        Ok(g)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

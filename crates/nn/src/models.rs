@@ -309,6 +309,29 @@ mod tests {
         }
     }
 
+    /// Every parameter gradient `backward_params` accumulates is bit for
+    /// bit the one `backward` does, on every architecture.
+    #[test]
+    fn backward_params_matches_backward_bitwise() {
+        let spec = ModelSpec::new(3, 16, 10);
+        let x = Tensor::randn(&[4, 3, 16, 16], &mut Rng::new(6));
+        let g = Tensor::randn(&[4, 10], &mut Rng::new(7));
+        let grad_bits = |m: &mut Sequential| {
+            let mut bits = Vec::new();
+            m.visit_params(&mut |_, grad| bits.extend(grad.data().iter().map(|v| v.to_bits())));
+            bits
+        };
+        for arch in Architecture::ALL {
+            let mut full = build(arch, &spec, &mut Rng::new(5)).unwrap();
+            let mut params_only = build(arch, &spec, &mut Rng::new(5)).unwrap();
+            full.forward(&x, Mode::Train).unwrap();
+            params_only.forward(&x, Mode::Train).unwrap();
+            full.backward(&g).unwrap();
+            params_only.backward_params(&g).unwrap();
+            assert_eq!(grad_bits(&mut full), grad_bits(&mut params_only), "{arch}");
+        }
+    }
+
     #[test]
     fn transformer_rejects_bad_image_size() {
         let mut rng = Rng::new(2);

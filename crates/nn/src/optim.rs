@@ -60,11 +60,9 @@ impl Sgd {
                 });
                 return;
             }
-            for ((vi, &gi), pi) in v.data_mut().iter_mut().zip(g.data()).zip(p.data().to_vec()) {
-                *vi = mu * *vi + gi + wd * pi;
-            }
-            for (pi, &vi) in p.data_mut().iter_mut().zip(v.data()) {
-                *pi -= lr * vi;
+            for ((vi, &gi), pi) in v.data_mut().iter_mut().zip(g.data()).zip(p.data_mut()) {
+                *vi = mu * *vi + gi + wd * *pi;
+                *pi -= lr * *vi;
             }
             idx += 1;
         });

@@ -211,11 +211,18 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
-        }
-        Ok(g)
+        let g = backward_through(&mut self.layers, grad_output)?;
+        Ok(g.unwrap_or_else(|| grad_output.clone()))
+    }
+
+    /// Backpropagates through every layer but the first, which only
+    /// accumulates its parameter gradients.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let g = backward_through(rest, grad_output)?;
+        first.backward_params(g.as_ref().unwrap_or(grad_output))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -245,6 +252,16 @@ impl Layer for Sequential {
     fn name(&self) -> &'static str {
         "Sequential"
     }
+}
+
+/// Backpropagates `grad_output` through `layers` from last to first,
+/// returning the gradient at their input (`None` for no layers).
+fn backward_through(layers: &mut [Box<dyn Layer>], grad_output: &Tensor) -> Result<Option<Tensor>> {
+    let mut g: Option<Tensor> = None;
+    for layer in layers.iter_mut().rev() {
+        g = Some(layer.backward(g.as_ref().unwrap_or(grad_output))?);
+    }
+    Ok(g)
 }
 
 /// Runs `conv` with the eval epilogue folded from the layers after it (a

@@ -144,7 +144,8 @@ impl Trainer {
                 let logits = model.forward(&bx, Mode::Train)?;
                 let (loss, grad) = softmax_cross_entropy(&logits, &by)?;
                 model.zero_grad();
-                model.backward(&grad)?;
+                // The input gradient of the first layer is never read.
+                model.backward_params(&grad)?;
                 match cfg.optimizer {
                     OptimizerKind::Sgd => sgd.step(model)?,
                     OptimizerKind::Adam => adam.step(model)?,
@@ -255,6 +256,51 @@ mod tests {
         trainer.fit(&mut model, &x, &y, &mut rng).unwrap();
         let acc = trainer.evaluate(&mut model, &x, &y).unwrap();
         assert!(acc > 0.9, "acc={acc}");
+    }
+
+    /// `fit` steps through `backward_params`; the same loop through
+    /// `backward` trains every architecture to the same bytes.
+    #[test]
+    fn fit_matches_a_backward_loop_bytewise() {
+        use crate::loss::softmax_cross_entropy;
+        use crate::models::{build, Architecture};
+        let spec = ModelSpec::new(3, 8, 4);
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            ..TrainConfig::default()
+        };
+        let x = Tensor::randn(&[20, 3, 8, 8], &mut Rng::new(11));
+        let labels: Vec<usize> = (0..20).map(|i| i % 4).collect();
+        for arch in Architecture::ALL {
+            let mut fitted = build(arch, &spec, &mut Rng::new(12)).unwrap();
+            Trainer::new(cfg)
+                .fit(&mut fitted, &x, &labels, &mut Rng::new(13))
+                .unwrap();
+            let mut manual = build(arch, &spec, &mut Rng::new(12)).unwrap();
+            let mut rng = Rng::new(13);
+            let mut sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
+            let mut order: Vec<usize> = (0..x.shape()[0]).collect();
+            for epoch in 0..cfg.epochs {
+                rng.shuffle(&mut order);
+                for chunk in order.chunks(cfg.batch_size) {
+                    let (bx, by) = gather_batch(&x, &labels, chunk).unwrap();
+                    let logits = manual.forward(&bx, Mode::Train).unwrap();
+                    let (_, grad) = softmax_cross_entropy(&logits, &by).unwrap();
+                    manual.zero_grad();
+                    manual.backward(&grad).unwrap();
+                    sgd.step(&mut manual).unwrap();
+                }
+                sgd.set_lr(cfg.lr * cfg.lr_decay.powi(epoch as i32 + 1));
+            }
+            let bits = |m: &Sequential| {
+                let params = m.export_params();
+                let params = params.iter().flat_map(|p| p.data().to_vec());
+                let buffers = m.export_buffers().into_iter().flatten();
+                params.chain(buffers).map(f32::to_bits).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&fitted), bits(&manual), "{arch}");
+        }
     }
 
     #[test]

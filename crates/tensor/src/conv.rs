@@ -20,8 +20,11 @@
 //! [`conv2d`] runs the direct kernel of [`crate::direct`] where it
 //! measured faster, with the same accumulation order. Both forward paths
 //! store through an [`Epilogue`] (bias, eval-mode batch norm, ReLU).
+//! Backward-input likewise runs the direct kernel of [`crate::direct_bwd`]
+//! for small input-channel counts.
 
 use crate::direct;
+use crate::direct_bwd;
 use crate::kernels::{gemm_with_b, BPacker, Isa, KC_MAX, NR};
 use crate::pack::Trans;
 use crate::workspace::with_scratch;
@@ -989,16 +992,22 @@ fn bwd_input_samples_avx512(
     bwd_input_samples_body(w, grad, d, h, width, stride, pad, ni0, out_chunk);
 }
 
-fn select_bwd_input() -> BwdInputFn {
-    match Isa::detect() {
+/// The fused-pass instantiation for `isa`.
+///
+/// # Panics
+///
+/// If the running CPU does not support `isa`.
+fn fused_bwd_input(isa: Isa) -> BwdInputFn {
+    assert!(isa.supported(), "{isa:?} fused kernel on a CPU without it");
+    match isa {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => |w, grad, d, h, width, stride, pad, ni0, out| {
-            // SAFETY: `Isa::detect` confirmed AVX-512F+VL support.
+            // SAFETY: `fused_bwd_input` asserted AVX-512F+VL support.
             unsafe { bwd_input_samples_avx512(w, grad, d, h, width, stride, pad, ni0, out) }
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => |w, grad, d, h, width, stride, pad, ni0, out| {
-            // SAFETY: `Isa::detect` confirmed AVX2 support.
+            // SAFETY: `fused_bwd_input` asserted AVX2 support.
             unsafe { bwd_input_samples_avx2(w, grad, d, h, width, stride, pad, ni0, out) }
         },
         _ => bwd_input_samples_generic,
@@ -1007,9 +1016,19 @@ fn select_bwd_input() -> BwdInputFn {
 
 /// Gradient of a convolution with respect to its input.
 ///
-/// Each sample's `[o, k]ᵀ × [o, oh·ow]` column gradient is combined in
-/// cache and scattered back with [`col2im_sample`] in one fused pass;
-/// bit-identical to the per-sample reference.
+/// Three kernels compute it, chosen by shape and ISA only:
+///
+/// * layers with few input channels run the direct kernel (module
+///   `direct_bwd`) where its measured rule (`direct_bwd::select`) picks
+///   it;
+/// * other layers with `o ≥ 16` output channels run one whole-batch
+///   `[o, k]ᵀ × [o, n·oh·ow]` GEMM over the [`GradRowsPacker`] operand and
+///   scatter it with [`col2im_sample`];
+/// * everything else runs the fused per-channel pass
+///   ([`bwd_input_samples_body`]).
+///
+/// All three accumulate in the same order, so results are bit-identical
+/// to the per-sample reference at any thread count.
 ///
 /// # Errors
 ///
@@ -1022,6 +1041,39 @@ pub fn conv2d_backward_input(
     stride: usize,
     padding: usize,
 ) -> Result<Tensor, TensorError> {
+    let d = backward_input_dims(weight, grad_output, input_shape, stride, padding)?;
+    let mut grad = Tensor::zeros(input_shape);
+    let path = select_bwd_input_path(Isa::detect(), &d, stride);
+    bwd_input_run(path, weight, grad_output, &d, stride, padding, &mut grad);
+    Ok(grad)
+}
+
+/// The backward-input kernel for a shape on `isa`: the direct kernel
+/// where its measured rule picks it, else the GEMM for deep-`o` layers,
+/// else the fused pass.
+fn select_bwd_input_path(isa: Isa, d: &ConvDims, stride: usize) -> BwdInputPath {
+    match direct_bwd::select(isa, d.c, d.kw, stride) {
+        Some((kernel, block)) => BwdInputPath::Direct(kernel, block),
+        None if d.o >= GEMM_MIN_O => BwdInputPath::Gemm,
+        None => BwdInputPath::Fused(fused_bwd_input(isa)),
+    }
+}
+
+/// Deep-`o` layers the direct kernel does not take amortize the packed
+/// driver's overhead across a long reduction and run ~3x faster through
+/// the whole-batch GEMM; shallow-`o` layers are the opposite (packing
+/// overhead dominates an 8-deep reduction), so they take the fused pass.
+const GEMM_MIN_O: usize = 16;
+
+/// Validates the operands of [`conv2d_backward_input`] and resolves its
+/// shape.
+fn backward_input_dims(
+    weight: &Tensor,
+    grad_output: &Tensor,
+    input_shape: &[usize],
+    stride: usize,
+    padding: usize,
+) -> Result<ConvDims, TensorError> {
     check_rank4(weight, "conv2d weight")?;
     check_rank4(grad_output, "conv2d grad_output")?;
     if input_shape.len() != 4 {
@@ -1037,60 +1089,166 @@ pub fn conv2d_backward_input(
             actual: grad_output.shape().to_vec(),
         });
     }
-    let (h, w) = (input_shape[2], input_shape[3]);
+    Ok(d)
+}
+
+/// One backward-input kernel (see [`conv2d_backward_input`]).
+#[derive(Clone, Copy)]
+enum BwdInputPath {
+    /// The whole-batch GEMM plus col2im.
+    Gemm,
+    /// The direct kernel instantiation and its channel block.
+    Direct(direct_bwd::DirectBwdFn, usize),
+    /// The fused per-channel pass.
+    Fused(BwdInputFn),
+}
+
+/// Runs `path` into the zeroed `grad` (`[n, c, h, w]`): the strided
+/// col2im scatter adds into it.
+fn bwd_input_run(
+    path: BwdInputPath,
+    weight: &Tensor,
+    grad_output: &Tensor,
+    d: &ConvDims,
+    stride: usize,
+    padding: usize,
+    grad: &mut Tensor,
+) {
+    let (h, w) = (d.hp - 2 * padding, d.wp - 2 * padding);
     let sample_in = d.c * h * w;
     let wd = weight.data();
     let go = grad_output.data();
-    let mut grad = Tensor::zeros(input_shape);
-    // Deep-`o` layers amortize the packed driver's overhead across a
-    // long reduction and run ~3x faster through the whole-batch GEMM;
-    // shallow-`o` layers are the opposite (packing overhead dominates an
-    // 8-deep reduction), so they take the fused per-channel path below.
-    // The split depends only on the shape, and both paths accumulate
-    // over `p` in increasing order from 0.0 with separate multiply and
-    // add — bit-identical either way, at any thread count.
-    const GEMM_MIN_O: usize = 16;
-    if d.o >= GEMM_MIN_O {
-        let cols = d.n * d.spat;
-        with_scratch(d.k * cols, |col_grad| {
-            gemm_with_b(
-                d.k,
-                cols,
-                d.o,
-                wd,
-                Trans::T,
-                &GradRowsPacker { grad: go, d: &d },
-                col_grad,
-            );
-            for (ni, out_s) in grad.data_mut().chunks_exact_mut(sample_in).enumerate() {
-                col2im_sample(
-                    col_grad,
-                    out_s,
-                    d.c,
-                    h,
-                    w,
-                    d.kh,
-                    d.kw,
-                    stride,
-                    padding,
-                    d.oh,
-                    d.ow,
-                    cols,
-                    ni * d.spat,
-                );
-            }
-        });
-        return Ok(grad);
-    }
-    let kernel = select_bwd_input();
     let flops = 2usize
         .saturating_mul(d.k)
         .saturating_mul(d.o)
         .saturating_mul(d.n * d.spat);
-    for_sample_chunks(grad.data_mut(), sample_in, flops, |ni0, out_chunk| {
-        kernel(wd, go, &d, h, w, stride, padding, ni0, out_chunk)
-    });
-    Ok(grad)
+    match path {
+        BwdInputPath::Gemm => {
+            let cols = d.n * d.spat;
+            with_scratch(d.k * cols, |col_grad| {
+                gemm_with_b(
+                    d.k,
+                    cols,
+                    d.o,
+                    wd,
+                    Trans::T,
+                    &GradRowsPacker { grad: go, d },
+                    col_grad,
+                );
+                for (ni, out_s) in grad.data_mut().chunks_exact_mut(sample_in).enumerate() {
+                    col2im_sample(
+                        col_grad,
+                        out_s,
+                        d.c,
+                        h,
+                        w,
+                        d.kh,
+                        d.kw,
+                        stride,
+                        padding,
+                        d.oh,
+                        d.ow,
+                        cols,
+                        ni * d.spat,
+                    );
+                }
+            });
+        }
+        BwdInputPath::Direct(kernel, block) => {
+            let khw = d.kh * d.kw;
+            let (left, row) = direct_bwd::staged_row(d, stride, padding);
+            let sample_g = d.o * d.oh * row;
+            with_scratch(d.n * sample_g, |staged| {
+                for (dst, src) in staged.chunks_exact_mut(row).zip(go.chunks_exact(d.ow)) {
+                    dst[..left].fill(0.0);
+                    dst[left..left + d.ow].copy_from_slice(src);
+                    dst[left + d.ow..].fill(0.0);
+                }
+                let staged = &*staged;
+                with_scratch(khw * d.o * block, |wt| {
+                    // Row `tap·o + p` holds `w[p, 0..c, tap]`, zeros past `c`.
+                    for (i, dst) in wt.chunks_exact_mut(block).enumerate() {
+                        let (tap, p) = (i / d.o, i % d.o);
+                        for (ci, v) in dst.iter_mut().enumerate() {
+                            *v = if ci < d.c {
+                                wd[(p * d.c + ci) * khw + tap]
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                    let wt = &*wt;
+                    for_sample_chunks(grad.data_mut(), sample_in, flops, |n0, chunk| {
+                        let nb = chunk.len() / sample_in;
+                        kernel(
+                            &staged[n0 * sample_g..][..nb * sample_g],
+                            wt,
+                            d,
+                            stride,
+                            padding,
+                            chunk,
+                        );
+                    });
+                });
+            });
+        }
+        BwdInputPath::Fused(kernel) => {
+            for_sample_chunks(grad.data_mut(), sample_in, flops, |ni0, out_chunk| {
+                kernel(wd, go, d, h, w, stride, padding, ni0, out_chunk)
+            });
+        }
+    }
+}
+
+/// The input gradient from every backward-input kernel the running CPU
+/// can execute, each labelled (`"gemm"`, `"fused Avx2"`, `"direct
+/// Avx512"`, ...): the GEMM, the fused pass per ISA and the direct kernel
+/// per ISA when an instantiation holds `c`, whichever one
+/// [`conv2d_backward_input`] would select for the shape. The property
+/// sweep compares them bitwise with each other and with
+/// [`crate::reference::conv2d_backward_input_reference`]; exported from
+/// [`crate::reference`].
+///
+/// # Errors
+///
+/// Returns an error under the same conditions as
+/// [`conv2d_backward_input`].
+pub fn conv2d_backward_input_every_path(
+    weight: &Tensor,
+    grad_output: &Tensor,
+    input_shape: &[usize],
+    stride: usize,
+    padding: usize,
+) -> Result<Vec<(String, Tensor)>, TensorError> {
+    let d = backward_input_dims(weight, grad_output, input_shape, stride, padding)?;
+    let mut paths = vec![("gemm".to_string(), BwdInputPath::Gemm)];
+    for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+        paths.push((
+            format!("fused {isa:?}"),
+            BwdInputPath::Fused(fused_bwd_input(isa)),
+        ));
+        let direct = direct_bwd::block(d.c).and_then(|b| Some((direct_bwd::kernel(isa, b)?, b)));
+        if let Some((kernel, block)) = direct {
+            paths.push((
+                format!("direct {isa:?}"),
+                BwdInputPath::Direct(kernel, block),
+            ));
+        }
+    }
+    Ok(paths
+        .into_iter()
+        .map(|(name, path)| {
+            // The scatter paths add into a zeroed gradient; the direct
+            // kernel writes every element, so NaN-fill shows one it skips.
+            let fill = match path {
+                BwdInputPath::Direct(..) => f32::NAN,
+                _ => 0.0,
+            };
+            let mut grad = Tensor::full(input_shape, fill);
+            bwd_input_run(path, weight, grad_output, &d, stride, padding, &mut grad);
+            (name, grad)
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -1338,6 +1496,80 @@ mod tests {
         }
     }
 
+    /// Every backward-input kernel the host can run — the GEMM, the fused
+    /// pass and the direct kernel per ISA — against the scalar reference,
+    /// bitwise, with NaN, ±inf and −0.0 in weights and gradients. Covers
+    /// every direct channel block, strides 1 to 3, padding beyond the
+    /// kernel's reach, partial tiles and narrow rows.
+    #[test]
+    fn every_backward_input_path_matches_reference_bitwise() {
+        let mut rng = Rng::new(12);
+        // (n, c, o, k, stride, pad, h, w)
+        let shapes = [
+            (3, 3, 6, 3, 1, 1, 16, 16),
+            (2, 6, 6, 3, 1, 1, 16, 16),
+            (2, 6, 10, 3, 2, 1, 16, 16),
+            (2, 10, 10, 3, 1, 1, 8, 8),
+            (2, 6, 10, 1, 2, 0, 16, 16),
+            (1, 12, 5, 3, 1, 2, 7, 12),
+            (1, 8, 3, 5, 1, 2, 6, 9),
+            (2, 4, 2, 2, 2, 0, 9, 17),
+            (1, 1, 1, 3, 2, 1, 16, 16),
+            (1, 5, 17, 3, 1, 1, 8, 8),
+            (1, 2, 3, 3, 3, 1, 10, 11),
+            (1, 3, 4, 3, 2, 1, 3, 3),
+            (1, 3, 2, 1, 1, 2, 5, 7),
+        ];
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        for &(n, c, o, k, stride, pad, h, w) in &shapes {
+            let shape = [n, c, h, w];
+            let d = ConvDims::resolve(&shape, o, (k, k), stride, pad).unwrap();
+            let mut weight = Tensor::randn(&[o, c, k, k], &mut rng);
+            let mut grad = Tensor::randn(&[n, o, d.oh, d.ow], &mut rng);
+            let (lw, lg) = (weight.len(), grad.len());
+            for (i, &v) in special.iter().enumerate() {
+                grad.data_mut()[(41 * i + 3) % lg] = v;
+                weight.data_mut()[(5 * i + 2) % lw] = v;
+            }
+            let want = crate::reference::conv2d_backward_input_reference(
+                &weight, &grad, &shape, stride, pad,
+            )
+            .unwrap();
+            let what = format!("n={n} c={c} o={o} k={k} s={stride} p={pad} {h}x{w}");
+            let paths =
+                conv2d_backward_input_every_path(&weight, &grad, &shape, stride, pad).unwrap();
+            let directs = paths.iter().filter(|(name, _)| name.starts_with("direct"));
+            if Isa::detect() != Isa::Generic && c <= 12 {
+                assert!(
+                    directs.count() > 0,
+                    "{what}: no direct instantiation exercised"
+                );
+            }
+            for (name, got) in &paths {
+                assert_same_bits(got, &want, &format!("{name} {what}"));
+            }
+            let public = conv2d_backward_input(&weight, &grad, &shape, stride, pad).unwrap();
+            assert_same_bits(&public, &want, &format!("conv2d_backward_input {what}"));
+        }
+    }
+
+    /// Per-call microseconds of each candidate: best of 7 rounds of 40
+    /// calls, the candidates interleaved within each round so host drift
+    /// hits them alike. Shared by the kernel profilers.
+    fn best_times(fs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+        let mut best = vec![f64::MAX; fs.len()];
+        for _ in 0..7 {
+            for (f, b) in fs.iter_mut().zip(&mut best) {
+                let t0 = std::time::Instant::now();
+                for _ in 0..40 {
+                    f();
+                }
+                *b = b.min(t0.elapsed().as_secs_f64() / 40.0 * 1e6);
+            }
+        }
+        best
+    }
+
     /// Development profiler for the direct-kernel selection rule: times
     /// the GEMM and every supported direct instantiation on the
     /// small-channel inference shapes at the 48-row query batch,
@@ -1346,7 +1578,6 @@ mod tests {
     #[test]
     #[ignore]
     fn profile_forward_kernels() {
-        use std::time::Instant;
         // (name, c, o, k, stride, pad, side)
         const SHAPES: [(&str, usize, usize, usize, usize, usize, usize); 15] = [
             ("stem 3>6", 3, 6, 3, 1, 1, 16),
@@ -1369,21 +1600,6 @@ mod tests {
         let n = 48;
         let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
         bprom_par::set_thread_count(1);
-        // Best of 7 rounds of 40 calls, the candidates interleaved within
-        // each round so host drift hits them alike.
-        let time = |fs: &mut [&mut dyn FnMut()]| {
-            let mut best = vec![f64::MAX; fs.len()];
-            for _ in 0..7 {
-                for (f, b) in fs.iter_mut().zip(&mut best) {
-                    let t0 = Instant::now();
-                    for _ in 0..40 {
-                        f();
-                    }
-                    *b = b.min(t0.elapsed().as_secs_f64() / 40.0 * 1e6);
-                }
-            }
-            best
-        };
         let mut rng = Rng::new(42);
         let mut report = String::new();
         for &(name, c, o, k, stride, pad, side) in &SHAPES {
@@ -1416,13 +1632,104 @@ mod tests {
                 .collect();
             let mut fs: Vec<&mut dyn FnMut()> = vec![&mut gemm];
             fs.extend(runs.iter_mut().map(|r| &mut **r as &mut dyn FnMut()));
-            let t = time(&mut fs);
+            let t = best_times(&mut fs);
             drop(runs);
             report.push_str(&format!("\n{name}: gemm {:.0}us", t[0]));
             for ((isa, ..), (ti, out)) in isas.iter().zip(t[1..].iter().zip(&outs[1..])) {
                 assert_eq!(out, &reference, "{name} {isa:?}");
                 report.push_str(&format!(" | {isa:?} {ti:.0}us ({:.2}x)", t[0] / ti));
             }
+        }
+        bprom_par::set_thread_count(0);
+        eprintln!("{report}");
+    }
+
+    /// Development profiler for the direct backward-input selection rule,
+    /// the twin of `profile_forward_kernels`: times the GEMM, the fused
+    /// pass and every supported direct instantiation on the small-channel
+    /// training shapes at the 32-row training batch, single-threaded, and
+    /// prints the table to stderr. Run with
+    /// `cargo test --release -p bprom-tensor -- --ignored profile_backward_kernels --nocapture`.
+    #[test]
+    #[ignore]
+    fn profile_backward_kernels() {
+        // (name, c, o, k, stride, pad, side)
+        const SHAPES: [(&str, usize, usize, usize, usize, usize, usize); 23] = [
+            ("stem 3>6", 3, 6, 3, 1, 1, 16),
+            ("block1 6>6", 6, 6, 3, 1, 1, 16),
+            ("block2a 6>10 s2", 6, 10, 3, 2, 1, 16),
+            ("block2b 10>10 8x8", 10, 10, 3, 1, 1, 8),
+            ("proj 6>10 1x1 s2", 6, 10, 1, 2, 0, 16),
+            ("block1 8>8", 8, 8, 3, 1, 1, 16),
+            ("block2a 8>32 s2", 8, 32, 3, 2, 1, 16),
+            ("block1 12>12", 12, 12, 3, 1, 1, 16),
+            ("block2a 12>48 s2", 12, 48, 3, 2, 1, 16),
+            ("pw 6>8 8x8", 6, 8, 1, 1, 0, 8),
+            ("pw 8>10 8x8", 8, 10, 1, 1, 0, 8),
+            // MobileNetMini's depthwise convs run one channel at a time.
+            ("dw 1>1 s2", 1, 1, 3, 2, 1, 16),
+            ("dw 1>1 8x8", 1, 1, 3, 1, 1, 8),
+            ("block1 4>4", 4, 4, 3, 1, 1, 16),
+            ("block1 6>6 12x12", 6, 6, 3, 1, 1, 12),
+            ("block1 6>6 24x24", 6, 6, 3, 1, 1, 24),
+            ("block2a 6>10 s2 24x24", 6, 10, 3, 2, 1, 24),
+            ("block1 6>6 4x4", 6, 6, 3, 1, 1, 4),
+            ("block2a 6>10 s2 8x8", 6, 10, 3, 2, 1, 8),
+            ("wide 8>32 16x16", 8, 32, 3, 1, 1, 16),
+            ("wide 12>48 8x8", 12, 48, 3, 1, 1, 8),
+            ("stem 2>6", 2, 6, 3, 1, 1, 16),
+            ("k5 6>6", 6, 6, 5, 1, 2, 16),
+        ];
+        let n = 32;
+        let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
+        bprom_par::set_thread_count(1);
+        let mut rng = Rng::new(43);
+        let mut report = String::new();
+        for &(name, c, o, k, stride, pad, side) in &SHAPES {
+            let shape = [n, c, side, side];
+            let d = ConvDims::resolve(&shape, o, (k, k), stride, pad).unwrap();
+            let weight = Tensor::randn(&[o, c, k, k], &mut rng);
+            let grad = Tensor::randn(&[n, o, d.oh, d.ow], &mut rng);
+            let isa = Isa::detect();
+            let mut paths = vec![
+                ("gemm".to_string(), BwdInputPath::Gemm),
+                (
+                    "fused".to_string(),
+                    BwdInputPath::Fused(fused_bwd_input(isa)),
+                ),
+            ];
+            for isa in Isa::ALL.into_iter().filter(|i| i.supported()) {
+                if let Some(block) = direct_bwd::block(c) {
+                    if let Some(kernel) = direct_bwd::kernel(isa, block) {
+                        paths.push((format!("{isa:?}"), BwdInputPath::Direct(kernel, block)));
+                    }
+                }
+            }
+            let run = |path: BwdInputPath| {
+                let mut out = Tensor::zeros(&shape);
+                bwd_input_run(path, &weight, &grad, &d, stride, pad, &mut out);
+                out
+            };
+            let want = run(BwdInputPath::Gemm);
+            let mut runs: Vec<Box<dyn FnMut()>> = paths
+                .iter()
+                .map(|&(_, path)| Box::new(move || drop(std::hint::black_box(run(path)))) as _)
+                .collect();
+            let mut fs: Vec<&mut dyn FnMut()> = runs.iter_mut().map(|r| &mut **r as _).collect();
+            let best = best_times(&mut fs);
+            drop(runs);
+            let fused = best[1];
+            report.push_str(&format!("\n{name}:"));
+            for ((label, path), t) in paths.iter().zip(&best) {
+                assert_eq!(run(*path), want, "{name} {label}");
+                report.push_str(&format!(" | {label} {t:.0}us ({:.2}x)", fused / t));
+            }
+            let chosen = match select_bwd_input_path(isa, &d, stride) {
+                BwdInputPath::Gemm => "gemm",
+                BwdInputPath::Direct(..) => "direct",
+                BwdInputPath::Fused(_) => "fused",
+            };
+            report.push_str(&format!(" | selected: {chosen}"));
         }
         bprom_par::set_thread_count(0);
         eprintln!("{report}");

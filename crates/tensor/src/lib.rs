@@ -18,9 +18,10 @@
 //!   correctness oracles and benchmark baselines. Forward convolutions
 //!   with few output channels take a direct register-blocked kernel
 //!   (`direct`) where it measured faster, storing through an optional
-//!   fused [`Epilogue`]. Both kernels share one fixed k-accumulation
-//!   order, which keeps results byte-identical at any `BPROM_THREADS`
-//!   and on either path.
+//!   fused [`Epilogue`], and backward-input passes with few input
+//!   channels take its twin (`direct_bwd`). Every kernel keeps one fixed
+//!   accumulation order, which keeps results byte-identical at any
+//!   `BPROM_THREADS` and on any path.
 //! * Every fallible operation returns [`Result`]; shape mismatches are
 //!   errors, not panics.
 //! * All randomness flows through [`Rng`], a SplitMix64-seeded xoshiro256++
@@ -50,6 +51,7 @@
 
 mod conv;
 mod direct;
+mod direct_bwd;
 mod error;
 mod kernels;
 mod matmul;

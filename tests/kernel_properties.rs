@@ -1,11 +1,13 @@
 //! Property sweep for the packed GEMM + batched-im2col conv kernels and
-//! the direct small-channel forward kernel: every kernel-backed op is
-//! checked against the retained scalar oracles in
+//! the direct small-channel forward and backward-input kernels: every
+//! kernel-backed op is checked against the retained scalar oracles in
 //! `bprom_tensor::reference` over seeded sweeps of awkward shapes — unit
 //! dims, primes, and ±1 around every blocking parameter (MR 4 /
 //! MR_WIDE·NR 8, MC 64, KC 256, NC 512) — plus ResNetMini's inference
-//! shapes, NaN/±inf/−0.0 operands, and the fused conv epilogue against
-//! its separate passes.
+//! and training shapes, NaN/±inf/−0.0 operands, and the fused conv
+//! epilogue against its separate passes. Backward-input runs every kernel
+//! the host can execute (GEMM, fused pass and direct kernel per ISA), not
+//! only the one it selects.
 //!
 //! Equality is **bitwise** wherever the determinism contract promises it
 //! (`matmul`/`matmul_tn`/`matmul_nt`, `conv2d`, `conv2d_backward_input`,
@@ -22,8 +24,8 @@
 
 use bprom_suite::par;
 use bprom_suite::tensor::reference::{
-    conv2d_backward_input_reference, conv2d_backward_weight_reference, conv2d_reference,
-    matmul_reference,
+    conv2d_backward_input_every_path, conv2d_backward_input_reference,
+    conv2d_backward_weight_reference, conv2d_reference, matmul_reference,
 };
 use bprom_suite::tensor::{
     conv2d, conv2d_backward_input, conv2d_backward_weight, pad2d, ChannelNorm, ConvWeight,
@@ -404,6 +406,109 @@ fn conv2d_backward_input_bitwise_matches_reference() {
     }
 }
 
+/// Every backward-input kernel the host runs, and the public entry
+/// point, against the reference: bitwise, or NaN where it has NaN.
+fn check_backward_input_paths(
+    wt: &Tensor,
+    gy: &Tensor,
+    x_shape: &[usize],
+    stride: usize,
+    pad: usize,
+    what: &str,
+) {
+    let oracle = conv2d_backward_input_reference(wt, gy, x_shape, stride, pad).unwrap();
+    let paths = conv2d_backward_input_every_path(wt, gy, x_shape, stride, pad).unwrap();
+    for (name, got) in &paths {
+        assert_bits_or_both_nan(got, &oracle, &format!("{what}: {name}"));
+    }
+    let public = conv2d_backward_input(wt, gy, x_shape, stride, pad).unwrap();
+    assert_bits_or_both_nan(&public, &oracle, &format!("{what}: selected kernel"));
+}
+
+/// ResNetMini's training convolutions at both body widths the zoo uses
+/// (`(6, 10)` up to 16 classes, `(8, 32)` up to 50): stem, block 1,
+/// block 2's strided conv, its second conv and the `1 × 1` projection —
+/// `(c, o, k, stride, pad, side)`.
+const TRAINING_SHAPES: [(usize, usize, usize, usize, usize, usize); 10] = [
+    (3, 6, 3, 1, 1, 16),
+    (6, 6, 3, 1, 1, 16),
+    (6, 10, 3, 2, 1, 16),
+    (10, 10, 3, 1, 1, 8),
+    (6, 10, 1, 2, 0, 16),
+    (3, 8, 3, 1, 1, 16),
+    (8, 8, 3, 1, 1, 16),
+    (8, 32, 3, 2, 1, 16),
+    (32, 32, 3, 1, 1, 8),
+    (8, 32, 1, 2, 0, 16),
+];
+
+/// Every backward-input kernel on the training shapes at the 32-row
+/// training batch, at odd batch sizes, and at input widths that leave
+/// partial tiles or rows narrower than a tile.
+#[test]
+fn conv2d_backward_input_every_path_matches_reference_on_training_shapes() {
+    let mut rng = case_rng(0xa00);
+    let batches = [32, 1, 3, 5];
+    for (i, &(c, o, k, stride, pad, side)) in TRAINING_SHAPES.iter().enumerate() {
+        for (j, &n) in batches.iter().enumerate() {
+            // Edge widths: the shape's own, then partial and narrow tiles.
+            let w = [side, side + 1, side - 4, 4][j];
+            let x_shape = [n, c, side, w];
+            let wt = Tensor::randn(&[o, c, k, k], &mut rng);
+            let y = conv2d(&Tensor::zeros(&x_shape), &wt, stride, pad).unwrap();
+            let gy = Tensor::randn(y.shape(), &mut rng);
+            let what = format!("shape {i} n={n} w={w}: {c}>{o} k{k} s{stride}");
+            check_backward_input_paths(&wt, &gy, &x_shape, stride, pad, &what);
+        }
+    }
+}
+
+/// NaN, ±inf and −0.0 in weights and gradients land where the reference
+/// puts them, in every backward-input kernel. An infinite weight must not
+/// turn a tap that falls outside the gradient into `inf · 0 = NaN`: the
+/// reference has no such term, so the edge pixels stay finite.
+#[test]
+fn conv2d_backward_input_special_values_match_reference() {
+    let sweep = (0..CASES).map(|case| {
+        let cc = conv_case(&mut case_rng(0xb00 ^ case));
+        (
+            cc.n, cc.c, cc.o, cc.kh, cc.kw, cc.stride, cc.pad, cc.h, cc.w,
+        )
+    });
+    let training = TRAINING_SHAPES
+        .iter()
+        .map(|&(c, o, k, s, p, side)| (32, c, o, k, k, s, p, side, side));
+    for (case, (n, c, o, kh, kw, stride, pad, h, w)) in sweep.chain(training).enumerate() {
+        let mut rng = case_rng(0xc00 ^ case as u64);
+        let x_shape = [n, c, h, w];
+        let mut wt = Tensor::randn(&[o, c, kh, kw], &mut rng);
+        let y = conv2d(&Tensor::zeros(&x_shape), &wt, stride, pad).unwrap();
+        let mut gy = Tensor::randn(y.shape(), &mut rng);
+        poison(&mut gy, case);
+        poison(&mut wt, 3 * case + 1);
+        let what = format!("case {case}: special values");
+        check_backward_input_paths(&wt, &gy, &x_shape, stride, pad, &what);
+    }
+    // Only the weights infinite, on a padded shape: the pixels whose
+    // taps miss the gradient keep finite values.
+    let (c, o, k) = (6, 6, 3);
+    let mut rng = case_rng(0xd00);
+    let mut wt = Tensor::randn(&[o, c, k, k], &mut rng);
+    for ci in 0..c {
+        // Tap (0, 0) of every input channel: it falls outside the gradient
+        // for the last row and column of the input.
+        wt.data_mut()[ci * k * k] = f32::INFINITY;
+    }
+    let x_shape = [2, c, 16, 16];
+    let gy = Tensor::randn(&[2, o, 16, 16], &mut rng);
+    let oracle = conv2d_backward_input_reference(&wt, &gy, &x_shape, 1, 1).unwrap();
+    assert!(
+        oracle.data().iter().any(|v| v.is_finite()) && oracle.data().iter().any(|v| !v.is_finite()),
+        "the infinite-weight case must mix finite and non-finite pixels"
+    );
+    check_backward_input_paths(&wt, &gy, &x_shape, 1, 1, "infinite weights");
+}
+
 #[test]
 fn conv2d_backward_weight_bitwise_matches_flat_order_model() {
     for case in 0..CASES {
@@ -453,15 +558,18 @@ fn results_invariant_under_thread_count() {
     let b = Tensor::randn(&[129, 128], &mut rng);
     let x = Tensor::randn(&[8, 8, 16, 16], &mut rng);
     let wt = Tensor::randn(&[32, 8, 3, 3], &mut rng);
-    // A small-channel shape for the direct forward kernel's batch split.
+    // A small-channel shape for the direct kernels' batch split.
     let xs = Tensor::randn(&[48, 6, 16, 16], &mut rng);
     let ws = Tensor::randn(&[6, 6, 3, 3], &mut rng);
+    let gys = Tensor::randn(&[32, 6, 16, 16], &mut rng);
+    let gxs_shape = [32, 6, 16, 16];
     let y1;
     let gw1;
     let gx1;
     let mm1;
     par::set_thread_count(1);
     let ys1 = conv2d(&xs, &ws, 1, 1).unwrap();
+    let gxs1 = conv2d_backward_input(&ws, &gys, &gxs_shape, 1, 1).unwrap();
     {
         mm1 = a.matmul(&b).unwrap();
         y1 = conv2d(&x, &wt, 1, 1).unwrap();
@@ -476,8 +584,10 @@ fn results_invariant_under_thread_count() {
     let gw4 = conv2d_backward_weight(&x, &gy, (3, 3), 1, 1).unwrap();
     let gx4 = conv2d_backward_input(&wt, &gy, x.shape(), 1, 1).unwrap();
     let ys4 = conv2d(&xs, &ws, 1, 1).unwrap();
+    let gxs4 = conv2d_backward_input(&ws, &gys, &gxs_shape, 1, 1).unwrap();
     par::set_thread_count(0);
     assert_bits(&ys1, &ys4, "small-channel conv2d 1t vs 4t");
+    assert_bits(&gxs1, &gxs4, "small-channel backward_input 1t vs 4t");
     assert_bits(&mm1, &mm4, "matmul 1t vs 4t");
     assert_bits(&y1, &y4, "conv2d 1t vs 4t");
     assert_bits(&gw1, &gw4, "backward_weight 1t vs 4t");
