@@ -36,6 +36,7 @@ fn prompt_step(oracle: &QueryOracle, images: &bprom_tensor::Tensor, labels: &[us
         &map,
         &step_config(),
         &mut rng,
+        None,
     )
     .unwrap();
     black_box(report.queries);

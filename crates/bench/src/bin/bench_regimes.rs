@@ -17,7 +17,9 @@
 //!
 //! `BPROM_QUICK=1` shrinks shadow/zoo counts as everywhere else.
 
-use bprom::{build_suspicious_zoo, evaluate_detector, evaluate_detector_via, Bprom, OracleRegime};
+use bprom::{
+    build_suspicious_zoo, evaluate_detector, evaluate_oracle_zoo, Bprom, OracleRegime, Scenario,
+};
 use bprom_attacks::AttackKind;
 use bprom_bench::{detector_config, header, quick, row, zoo_config, TelemetryGuard};
 use bprom_data::SynthDataset;
@@ -87,12 +89,19 @@ fn main() {
     let detector = Bprom::fit(&cfg, &mut rng).expect("detector fit");
     let zoo_cfg = zoo_config(source, AttackKind::BadNets);
     let zoo = build_suspicious_zoo(&zoo_cfg, &mut rng).expect("zoo");
-    let adaptive_report =
-        evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
+    let num_classes = detector.config().source_dataset.num_classes();
+    let entries = zoo.into_iter().map(|m| m.into_entry(num_classes)).collect();
+    let adaptive_report = evaluate_oracle_zoo(
+        &detector,
+        Scenario::Downstream,
+        entries,
+        &mut rng,
+        |detector, oracle, run| {
             let adaptive = AdaptiveOracle::new(&oracle, AdaptiveConfig::default(), 0xADA9);
-            detector.inspect(&adaptive, rng)
-        })
-        .expect("adaptive eval");
+            detector.inspect(&adaptive, run)
+        },
+    )
+    .expect("adaptive eval");
     let evasions: u64 = adaptive_report
         .audits
         .iter()

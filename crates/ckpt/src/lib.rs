@@ -27,8 +27,8 @@
 //!   CI sweep every kill point exhaustively and assert byte-identical
 //!   resume.
 //!
-//! The determinism contract this enables (see `bprom`'s `resume_from`):
-//! a pipeline killed at *any* checkpoint boundary and resumed produces
+//! The determinism contract this enables (see `bprom::Run`, the run
+//! context every pipeline stage takes): a pipeline killed at *any* checkpoint boundary and resumed produces
 //! a byte-identical `DetectionReport` to an uninterrupted run, at any
 //! `BPROM_THREADS`, including under a hostile `FaultyOracle` stack.
 

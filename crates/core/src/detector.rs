@@ -1,19 +1,17 @@
 //! The end-to-end BPROM detector.
 
-use crate::meta_model::{probe_features_blackbox_regime, train_meta_ckpt, ProbeSet};
-use crate::prompting::{prompt_shadows_ckpt, prompt_suspicious_ckpt};
+use crate::meta_model::{probe_features_blackbox_regime, train_meta, ProbeSet};
+use crate::prompting::{prompt_shadows, prompt_suspicious};
 use crate::resume::{
     decode_dataset, decode_rng, decode_tensor, encode_dataset, encode_rng, encode_tensor,
-    run_fingerprint, Checkpointer, Decoder,
+    run_fingerprint, Decoder, Run,
 };
 use crate::{BpromConfig, BpromError, Result, ShadowSet};
 use bprom_ckpt::Encoder;
 use bprom_data::Dataset;
 use bprom_meta::RandomForest;
-use bprom_tensor::Rng;
 use bprom_verdict::{Signals, Timing};
-use bprom_vp::{BlackBoxModel, CmaesCheckpoint, CountingOracle, LabelMap};
-use std::path::Path;
+use bprom_vp::{BlackBoxModel, CountingOracle, LabelMap};
 use std::time::Instant;
 
 /// Query-budget and wall-clock breakdown of one [`Bprom::inspect`] call.
@@ -237,108 +235,71 @@ impl Bprom {
     /// Runs the full BPROM training pipeline (Algorithm 1): reserve `D_S`,
     /// train shadow models, prompt them, and fit the meta-classifier.
     ///
-    /// # Errors
-    ///
-    /// Propagates configuration, training, prompting and meta-model
-    /// failures.
-    pub fn fit(config: &BpromConfig, rng: &mut Rng) -> Result<Self> {
-        Self::fit_ckpt(config, rng, None)
-    }
-
-    /// Checkpointed variant of [`Bprom::fit`]: with a [`Checkpointer`],
-    /// every completed unit of work (shadow, prompt, meta forest) is
-    /// snapshotted and journalled, and a re-run against the same
-    /// directory — same config, same seed — skips completed units and
-    /// continues bit-identically from the first incomplete one.
+    /// Checkpointed (see [`Run`]), every completed unit of work (shadow,
+    /// prompt, meta forest) is snapshotted and journalled, and a re-run
+    /// against the same directory — same config, same seed — skips
+    /// completed units and continues bit-identically from the first
+    /// incomplete one.
     ///
     /// # Errors
     ///
-    /// Propagates pipeline and checkpoint failures; rejects a checkpoint
-    /// directory whose manifest belongs to a different run.
-    pub fn fit_ckpt(
-        config: &BpromConfig,
-        rng: &mut Rng,
-        ckpt: Option<&Checkpointer>,
-    ) -> Result<Self> {
+    /// Propagates configuration, training, prompting, meta-model and
+    /// checkpoint failures; rejects a checkpoint directory whose manifest
+    /// belongs to a different run.
+    pub fn fit<'r>(config: &BpromConfig, run: impl Into<Run<'r>>) -> Result<Self> {
+        let run = run.into();
         config.validate()?;
         // Emulate the source test distribution and reserve D_S from it.
         let source_test = config.source_dataset.generate(
             config.test_samples_per_class,
             config.image_size,
-            rng.next_u64(),
+            run.rng.next_u64(),
         )?;
-        let ds = source_test.subsample(config.ds_fraction, rng)?;
-        Self::fit_with_reserved_ckpt(config, &ds, rng, ckpt)
+        let ds = source_test.subsample(config.ds_fraction, run.rng)?;
+        Self::fit_with_reserved(config, &ds, run)
     }
 
-    /// Re-opens the checkpoint directory of an interrupted [`fit_ckpt`]
-    /// run and finishes the fit. The caller supplies the *same* config
-    /// and a freshly seeded RNG in the *same* state as the original
-    /// call; deterministic replay recomputes the cheap setup and the
-    /// journal skips every completed unit.
-    ///
-    /// [`fit_ckpt`]: Bprom::fit_ckpt
+    /// [`Bprom::fit`] with an explicit reserved clean dataset `D_S` (used
+    /// by experiments that sweep `D_S` composition).
     ///
     /// # Errors
     ///
-    /// Propagates pipeline and checkpoint failures; rejects a directory
-    /// fingerprinted by a different config/seed.
-    pub fn resume_from(dir: impl AsRef<Path>, config: &BpromConfig, rng: &mut Rng) -> Result<Self> {
-        let ck = Checkpointer::open(dir.as_ref())?;
-        Self::fit_ckpt(config, rng, Some(&ck))
-    }
-
-    /// Variant of [`Bprom::fit`] taking an explicit reserved clean dataset
-    /// `D_S` (used by experiments that sweep `D_S` composition).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, training, prompting and meta-model
-    /// failures.
-    pub fn fit_with_reserved(config: &BpromConfig, ds: &Dataset, rng: &mut Rng) -> Result<Self> {
-        Self::fit_with_reserved_ckpt(config, ds, rng, None)
-    }
-
-    /// Checkpointed variant of [`Bprom::fit_with_reserved`]; see
-    /// [`Bprom::fit_ckpt`] for the resume contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline and checkpoint failures; rejects a checkpoint
-    /// directory whose manifest belongs to a different run.
-    pub fn fit_with_reserved_ckpt(
+    /// Propagates configuration, training, prompting, meta-model and
+    /// checkpoint failures; rejects a checkpoint directory whose manifest
+    /// belongs to a different run.
+    pub fn fit_with_reserved<'r>(
         config: &BpromConfig,
         ds: &Dataset,
-        rng: &mut Rng,
-        ckpt: Option<&Checkpointer>,
+        run: impl Into<Run<'r>>,
     ) -> Result<Self> {
+        let mut run = run.into();
         config.validate()?;
         bprom_obs::span!("fit");
-        if let Some(ck) = ckpt {
-            // Fingerprint at the single funnel point every fit variant
-            // passes through, so the guard sees the same (config, RNG
+        if let Some(ck) = run.ckpt {
+            // Fingerprint at the single funnel point both fit entries
+            // pass through, so the guard sees the same (config, RNG
             // state) pair on the original run and on resume.
-            ck.ensure_manifest(run_fingerprint(&format!("{config:?}"), rng))?;
+            ck.ensure_manifest(run_fingerprint(&format!("{config:?}"), run.rng))?;
         }
         let target = config.target_dataset.generate(
             config.target_samples_per_class,
             config.image_size,
-            rng.next_u64(),
+            run.rng.next_u64(),
         )?;
-        let (t_train, t_test) = target.split(0.7, rng)?;
+        let (t_train, t_test) = target.split(0.7, run.rng)?;
         let map = LabelMap::identity(t_train.num_classes, ds.num_classes)?;
         let mut shadows = {
             bprom_obs::span!("shadow_training");
-            ShadowSet::train_ckpt(config, ds, rng, ckpt)?
+            ShadowSet::train(config, ds, run.reborrow())?
         };
         let prompts = {
             bprom_obs::span!("prompt_shadows");
-            prompt_shadows_ckpt(config, &mut shadows, &t_train, &map, rng, ckpt)?
+            prompt_shadows(config, &mut shadows, &t_train, &map, run.reborrow())?
         };
-        let probes = ProbeSet::sample(&t_test, config.probe_count, rng)?;
+        let probes = ProbeSet::sample(&t_test, config.probe_count, run.rng)?;
         let meta = {
             bprom_obs::span!("train_meta");
-            train_meta_ckpt(config, &mut shadows, &prompts, &probes, rng, ckpt)?
+            train_meta(config, &mut shadows, &prompts, &probes, run)?
         };
         Ok(Bprom {
             config: config.clone(),
@@ -356,48 +317,45 @@ impl Bprom {
     /// The returned [`Verdict`] carries the exact oracle query budget and
     /// per-phase wall-clock of this inspection (see [`InspectBudget`]).
     ///
-    /// # Errors
-    ///
-    /// Propagates prompting/query/meta failures.
-    pub fn inspect(&self, oracle: &dyn BlackBoxModel, rng: &mut Rng) -> Result<Verdict> {
-        self.inspect_ckpt(oracle, rng, None, "adhoc")
-    }
-
-    /// Checkpointed variant of [`Bprom::inspect`]: the CMA-ES prompt
-    /// search snapshots its state per generation (snapshot
-    /// `cmaes-inspect-<unit>`), and the finished verdict is snapshotted
-    /// (unit `inspect-<unit>`) with the RNG state at completion, so a
-    /// killed inspection resumes mid-search and a completed one is
-    /// skipped outright on replay. `unit` names this inspection within
-    /// the run (e.g. the zoo index).
-    ///
-    /// Query accounting folds the pre-crash generations' queries and
+    /// Checkpointed, the CMA-ES prompt search snapshots its state per
+    /// generation (snapshot `cmaes-inspect-<unit>`), and the finished
+    /// verdict is a unit `inspect-<unit>` recorded with the RNG state at
+    /// completion, so a killed inspection resumes mid-search and a
+    /// completed one is skipped outright on replay. [`Run::unit`] names
+    /// this inspection within the run (e.g. the zoo index). Query
+    /// accounting folds the pre-crash generations' queries and
     /// fault/retry statistics into the budget, so a resumed verdict is
     /// byte-identical to an uninterrupted one.
     ///
     /// # Errors
     ///
     /// Propagates prompting/query/meta and checkpoint failures.
-    pub fn inspect_ckpt(
+    pub fn inspect<'r>(
         &self,
         oracle: &dyn BlackBoxModel,
-        rng: &mut Rng,
-        ckpt: Option<&Checkpointer>,
-        unit: &str,
+        run: impl Into<Run<'r>>,
     ) -> Result<Verdict> {
         bprom_obs::span!("inspect");
-        let artifact = format!("inspect-{unit}");
-        if let Some(ck) = ckpt {
-            if ck.is_done(&artifact) {
-                let bytes = ck.load_artifact(&artifact)?;
-                let mut dec = Decoder::new(&bytes);
-                let verdict = decode_verdict(&mut dec)?;
-                let restored = decode_rng(&mut dec)?;
-                dec.finish()?;
-                *rng = restored;
-                return Ok(verdict);
-            }
-        }
+        let mut run = run.into();
+        let unit = format!("inspect-{}", run.unit);
+        run.checkpointed(
+            &unit,
+            |run| self.inspect_fresh(oracle, run),
+            |verdict, rng, enc| {
+                encode_verdict(enc, verdict);
+                encode_rng(enc, rng);
+            },
+            |dec, rng| {
+                let verdict = decode_verdict(dec)?;
+                *rng = decode_rng(dec)?;
+                Ok(verdict)
+            },
+        )
+    }
+
+    /// The body of [`Bprom::inspect`] once the verdict is known not to be
+    /// journalled already.
+    fn inspect_fresh(&self, oracle: &dyn BlackBoxModel, run: Run<'_>) -> Result<Verdict> {
         let start = Instant::now();
         let stats_before = oracle.oracle_stats();
         let counting = CountingOracle::new(oracle);
@@ -406,22 +364,11 @@ impl Bprom {
         // against a plain oracle (tests, benches) and against a remote
         // endpoint that already serves the degraded shape.
         let sealed = bprom_regimes::RegimeOracle::new(&counting, self.config.regime);
-        let cmaes_name = format!("cmaes-inspect-{unit}");
-        let (prompt, outcome) = {
+        let (prompt, report) = {
             bprom_obs::span!("prompt_suspicious");
-            prompt_suspicious_ckpt(
-                &self.config,
-                &sealed,
-                &self.t_train,
-                &self.map,
-                rng,
-                ckpt.map(|ck| CmaesCheckpoint {
-                    store: ck.store(),
-                    name: &cmaes_name,
-                }),
-            )?
+            prompt_suspicious(&self.config, &sealed, &self.t_train, &self.map, run)?
         };
-        let prompt_queries = outcome.report.queries;
+        let prompt_queries = report.queries;
         let prompt_ns = start.elapsed().as_nanos() as u64;
         // Measure the learned prompt on the target training split. The
         // pass re-submits prompted images the CMA-ES search already
@@ -452,7 +399,7 @@ impl Bprom {
         // The counting decorator only saw this process's traffic; add the
         // queries pre-crash generations spent so the budget matches an
         // uninterrupted run exactly.
-        let queries = outcome.carried_queries + counting.local_queries();
+        let queries = report.carried_queries + counting.local_queries();
         // Whatever the oracle stack absorbed on our behalf (fault
         // injection, retries, degraded responses) is part of this
         // inspection's cost; surface the delta in the budget, plus the
@@ -460,7 +407,7 @@ impl Bprom {
         let faults = oracle
             .oracle_stats()
             .delta_since(&stats_before)
-            .merged(&outcome.carried_stats);
+            .merged(&report.carried_stats);
         bprom_obs::counter_add("inspect.models", 1);
         bprom_obs::log_event(
             "inspect.verdict",
@@ -471,7 +418,7 @@ impl Bprom {
                 ("queries", queries.into()),
             ],
         );
-        let verdict = Verdict {
+        Ok(Verdict {
             score,
             backdoored: score > 0.5,
             prompted_accuracy,
@@ -490,21 +437,13 @@ impl Bprom {
                 retry_exhausted: faults.retry_exhausted,
                 degraded_responses: faults.degraded_responses,
                 backoff_virtual_ms: faults.backoff_virtual_ms,
-                penalized_candidates: outcome.report.penalized_candidates,
+                penalized_candidates: report.penalized_candidates,
                 cache_hits: faults.cache_hits,
                 cache_misses: faults.cache_misses,
                 cache_evictions: faults.cache_evictions,
                 evasive_responses: faults.evasive_responses,
             },
-        };
-        if let Some(ck) = ckpt {
-            let mut enc = Encoder::new();
-            encode_verdict(&mut enc, &verdict);
-            encode_rng(&mut enc, rng);
-            ck.save_artifact(&artifact, enc)?;
-            ck.mark_done(&artifact)?;
-        }
-        Ok(verdict)
+        })
     }
 
     /// Stable fingerprint of a detector configuration (FNV-1a over the
@@ -602,6 +541,7 @@ mod tests {
     use bprom_data::SynthDataset;
     use bprom_nn::models::{build, ModelSpec};
     use bprom_nn::{TrainConfig, Trainer};
+    use bprom_tensor::Rng;
     use bprom_vp::{PromptTrainConfig, QueryOracle};
 
     /// End-to-end smoke test at reduced scale: the detector must produce a

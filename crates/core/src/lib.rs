@@ -70,15 +70,10 @@ pub use bprom_verdict::{
 pub use config::{BpromConfig, ShadowPrompting};
 pub use detector::{Bprom, InspectBudget, Verdict};
 pub use error::BpromError;
-pub use report::{
-    evaluate_detector, evaluate_detector_ckpt, evaluate_detector_via, evaluate_oracle_zoo,
-    evaluate_oracle_zoo_ckpt, DetectionReport, Scenario, ZooEntry,
-};
-pub use resume::{Checkpointer, CKPT_DIR_ENV};
+pub use report::{evaluate_detector, evaluate_oracle_zoo, DetectionReport, Scenario, ZooEntry};
+pub use resume::{Checkpointer, Run};
 pub use shadow::{ShadowModel, ShadowSet};
-pub use suspicious::{
-    build_suspicious_zoo, build_suspicious_zoo_ckpt, model_fingerprint, SuspiciousModel, ZooConfig,
-};
+pub use suspicious::{build_suspicious_zoo, model_fingerprint, SuspiciousModel, ZooConfig};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, BpromError>;

@@ -3,9 +3,8 @@
 //! models, and train the random-forest meta-classifier on `D_meta`.
 
 use crate::prompting::LearnedPrompt;
-use crate::resume::{decode_rng, encode_rng, Checkpointer, Decoder};
+use crate::resume::{decode_rng, encode_rng, Run};
 use crate::{BpromConfig, Result, ShadowSet};
-use bprom_ckpt::Encoder;
 use bprom_data::Dataset;
 use bprom_meta::{ForestConfig, RandomForest, TreeConfig};
 use bprom_nn::{softmax, Layer, Mode, Sequential};
@@ -223,87 +222,69 @@ pub fn probe_features_blackbox_regime(
 /// Builds `D_meta` from the prompted shadows and trains the random-forest
 /// meta-classifier (Algorithm 1, lines 15–25).
 ///
-/// # Errors
-///
-/// Propagates feature-extraction and forest-training failures.
-pub fn train_meta(
-    config: &BpromConfig,
-    shadows: &mut ShadowSet,
-    prompts: &[LearnedPrompt],
-    probes: &ProbeSet,
-    rng: &mut Rng,
-) -> Result<RandomForest> {
-    train_meta_ckpt(config, shadows, prompts, probes, rng, None)
-}
-
-/// Checkpointed variant of [`train_meta`]: the fitted forest is
-/// snapshotted (unit `meta`) together with the RNG state at completion
-/// — forest training consumes the caller's stream directly, so the
-/// restore path must also restore the stream position to keep the
-/// continued run bit-identical.
+/// Checkpointed, the fitted forest is a unit `meta` recorded together
+/// with the RNG state at completion — forest training consumes the
+/// caller's stream directly, so the restore path must also restore the
+/// stream position to keep the continued run bit-identical.
 ///
 /// # Errors
 ///
 /// Propagates feature-extraction, forest-training and checkpoint
 /// failures.
-pub fn train_meta_ckpt(
+pub fn train_meta<'r>(
     config: &BpromConfig,
     shadows: &mut ShadowSet,
     prompts: &[LearnedPrompt],
     probes: &ProbeSet,
-    rng: &mut Rng,
-    ckpt: Option<&Checkpointer>,
+    run: impl Into<Run<'r>>,
 ) -> Result<RandomForest> {
-    if let Some(ck) = ckpt {
-        if ck.is_done("meta") {
-            let bytes = ck.load_artifact("meta")?;
-            let mut dec = Decoder::new(&bytes);
-            let forest = RandomForest::restore(&mut dec)?;
-            let restored = decode_rng(&mut dec)?;
-            dec.finish()?;
-            *rng = restored;
-            return Ok(forest);
+    let fit = |run: Run<'_>| -> Result<RandomForest> {
+        let mut features = Vec::with_capacity(shadows.len());
+        {
+            bprom_obs::span!("build_meta_dataset");
+            for (shadow, learned) in shadows.shadows.iter_mut().zip(prompts) {
+                features.push(probe_features_whitebox_regime(
+                    &mut shadow.model,
+                    &learned.prompt,
+                    probes,
+                    config.regime,
+                )?);
+                bprom_obs::counter_add("meta.features", 1);
+            }
         }
-    }
-    let mut features = Vec::with_capacity(shadows.len());
-    {
-        bprom_obs::span!("build_meta_dataset");
-        for (shadow, learned) in shadows.shadows.iter_mut().zip(prompts) {
-            features.push(probe_features_whitebox_regime(
-                &mut shadow.model,
-                &learned.prompt,
-                probes,
-                config.regime,
-            )?);
-            bprom_obs::counter_add("meta.features", 1);
-        }
-    }
-    let labels = shadows.labels();
-    bprom_obs::span!("forest_fit");
-    let forest = RandomForest::fit(
-        &features,
-        &labels,
-        &ForestConfig {
-            trees: config.forest_trees,
-            tree: TreeConfig::default(),
+        let labels = shadows.labels();
+        bprom_obs::span!("forest_fit");
+        let forest = RandomForest::fit(
+            &features,
+            &labels,
+            &ForestConfig {
+                trees: config.forest_trees,
+                tree: TreeConfig::default(),
+            },
+            run.rng,
+        )?;
+        bprom_obs::log_event(
+            "meta.forest_fit",
+            [
+                ("shadows", features.len().into()),
+                ("trees", config.forest_trees.into()),
+            ],
+        );
+        Ok(forest)
+    };
+    run.into().checkpointed(
+        "meta",
+        fit,
+        |forest, rng, enc| {
+            forest.persist(enc);
+            encode_rng(enc, rng);
         },
-        rng,
-    )?;
-    bprom_obs::log_event(
-        "meta.forest_fit",
-        [
-            ("shadows", features.len().into()),
-            ("trees", config.forest_trees.into()),
-        ],
-    );
-    if let Some(ck) = ckpt {
-        let mut enc = Encoder::new();
-        forest.persist(&mut enc);
-        encode_rng(&mut enc, rng);
-        ck.save_artifact("meta", enc)?;
-        ck.mark_done("meta")?;
-    }
-    Ok(forest)
+        |dec, rng| {
+            let forest = RandomForest::restore(dec)?;
+            *rng = decode_rng(dec)?;
+            Ok(forest)
+        },
+    )
 }
 
 #[cfg(test)]

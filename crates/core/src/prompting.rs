@@ -3,16 +3,15 @@
 //! models by CMA-ES through the black-box query interface.
 
 use crate::config::ShadowPrompting;
-use crate::resume::{Checkpointer, Decoder};
-use crate::{BpromConfig, BpromError, Result, ShadowModel, ShadowSet};
-use bprom_ckpt::Encoder;
+use crate::resume::Run;
+use crate::{BpromConfig, Result, ShadowModel, ShadowSet};
 use bprom_data::Dataset;
 use bprom_qcache::CachingOracle;
 use bprom_regimes::RegimeOracle;
 use bprom_tensor::Rng;
 use bprom_vp::{
-    train_prompt_backprop, train_prompt_cmaes_ckpt, BlackBoxModel, CkptTrainOutcome,
-    CmaesCheckpoint, LabelMap, PromptTrainReport, QueryOracle, VisualPrompt,
+    train_prompt_backprop, train_prompt_cmaes, BlackBoxModel, LabelMap, PromptTrainReport,
+    QueryOracle, VisualPrompt,
 };
 
 /// A prompted shadow model: the prompt learned for it plus bookkeeping.
@@ -27,41 +26,26 @@ pub struct LearnedPrompt {
 /// Learns one prompt per shadow model on `D_T^train` (Algorithm 1 lines
 /// 10–12).
 ///
-/// # Errors
-///
-/// Propagates prompting failures.
-pub fn prompt_shadows(
-    config: &BpromConfig,
-    shadows: &mut ShadowSet,
-    t_train: &Dataset,
-    map: &LabelMap,
-    rng: &mut Rng,
-) -> Result<Vec<LearnedPrompt>> {
-    prompt_shadows_ckpt(config, shadows, t_train, map, rng, None)
-}
-
-/// Checkpointed variant of [`prompt_shadows`]: each learned prompt is
-/// snapshotted (unit `prompt-<i>`) and journalled; prompts the journal
-/// marks done are restored instead of relearned. CMA-ES shadow prompting
-/// additionally snapshots optimizer state per generation (snapshot
-/// `cmaes-prompt-<i>`), so even a half-finished prompt resumes from its
-/// last completed generation.
-///
-/// Like shadow training, each prompt runs from its own pre-forked RNG
-/// stream, so skipping a done unit discards that stream without touching
-/// the caller's.
+/// Checkpointed, each learned prompt is a unit `prompt-<i>`, and CMA-ES
+/// shadow prompting additionally snapshots optimizer state per
+/// generation (snapshot `cmaes-prompt-<i>`), so even a half-finished
+/// prompt resumes from its last completed generation. Like shadow
+/// training, each prompt runs from its own pre-forked RNG stream, so
+/// skipping a done unit discards that stream without touching the
+/// caller's.
 ///
 /// # Errors
 ///
 /// Propagates prompting and checkpoint failures.
-pub fn prompt_shadows_ckpt(
+pub fn prompt_shadows<'r>(
     config: &BpromConfig,
     shadows: &mut ShadowSet,
     t_train: &Dataset,
     map: &LabelMap,
-    rng: &mut Rng,
-    ckpt: Option<&Checkpointer>,
+    run: impl Into<Run<'r>>,
 ) -> Result<Vec<LearnedPrompt>> {
+    let run = run.into();
+    let ckpt = run.ckpt;
     let num_classes = map.source_classes();
     // One forked generator per shadow, drawn in shadow order, makes the
     // learned prompts independent of worker scheduling.
@@ -70,88 +54,83 @@ pub fn prompt_shadows_ckpt(
         .iter_mut()
         .enumerate()
         .map(|(i, shadow)| {
-            let child = rng.fork();
+            let child = run.rng.fork();
             (i, shadow, child)
         })
         .collect();
     bprom_par::par_map(jobs, |(i, shadow, mut rng)| -> Result<LearnedPrompt> {
         bprom_obs::span!("prompt_shadow");
-        let unit = format!("prompt-{i}");
-        if let Some(ck) = ckpt {
-            if ck.is_done(&unit) {
-                let bytes = ck.load_artifact(&unit)?;
-                let mut dec = Decoder::new(&bytes);
-                let prompt = VisualPrompt::restore(&mut dec)?;
-                let final_loss = dec.get_f32()?;
-                dec.finish().map_err(BpromError::from)?;
-                return Ok(LearnedPrompt { prompt, final_loss });
-            }
-        }
-        let mut prompt = VisualPrompt::random(
-            t_train.channels(),
-            config.image_size,
-            config.prompt_border,
-            &mut rng,
-        )?
-        .with_style(config.prompt_style);
-        let cmaes_name = format!("cmaes-prompt-{i}");
-        let final_loss = match config.shadow_prompting {
-            ShadowPrompting::Backprop => {
+        let learn = |run: Run<'_>| -> Result<LearnedPrompt> {
+            let mut prompt = VisualPrompt::random(
+                t_train.channels(),
+                config.image_size,
+                config.prompt_border,
+                run.rng,
+            )?
+            .with_style(config.prompt_style);
+            let report = match config.shadow_prompting {
                 // Backprop prompting has no per-generation snapshots: an
                 // interrupted unit simply re-runs from its forked stream.
-                let report = train_prompt_backprop(
+                ShadowPrompting::Backprop => train_prompt_backprop(
                     &mut shadow.model,
                     &mut prompt,
                     &t_train.images,
                     &t_train.labels,
                     map,
                     &config.prompt,
-                    &mut rng,
-                )?;
-                report.losses.last().copied().unwrap_or(f32::NAN)
-            }
-            ShadowPrompting::CmaEs => {
-                // Temporarily seal the shadow behind the oracle so the
-                // exact suspicious-model code path runs — including the
-                // query cache, whose policy comes from the same config as
-                // the suspicious-model side, and the declared oracle
-                // regime, so shadow prompts are searched under the same
-                // response contract the suspicious endpoint will enforce.
-                // The regime sits above the cache: cached entries keep
-                // full scores, degradation happens on the way out.
-                let model = std::mem::replace(&mut shadow.model, crate::shadow::empty_model());
-                let oracle = CachingOracle::new(QueryOracle::new(model, num_classes), config.cache);
-                let sealed = RegimeOracle::new(&oracle, config.regime);
-                let outcome = train_prompt_cmaes_ckpt(
-                    &sealed,
-                    &mut prompt,
-                    &t_train.images,
-                    &t_train.labels,
-                    map,
-                    &regime_prompt_config(config),
-                    &mut rng,
-                    ckpt.map(|ck| CmaesCheckpoint {
-                        store: ck.store(),
-                        name: &cmaes_name,
-                    }),
-                )?;
-                shadow.model = oracle.into_inner().into_inner();
-                outcome.report.losses.last().copied().unwrap_or(f32::NAN)
-            }
+                    run.rng,
+                )?,
+                ShadowPrompting::CmaEs => {
+                    // Temporarily seal the shadow behind the oracle so the
+                    // exact suspicious-model code path runs — including
+                    // the query cache, whose policy comes from the same
+                    // config as the suspicious-model side, and the
+                    // declared oracle regime, so shadow prompts are
+                    // searched under the same response contract the
+                    // suspicious endpoint will enforce. The regime sits
+                    // above the cache: cached entries keep full scores,
+                    // degradation happens on the way out.
+                    let model = std::mem::replace(&mut shadow.model, crate::shadow::empty_model());
+                    let oracle =
+                        CachingOracle::new(QueryOracle::new(model, num_classes), config.cache);
+                    let sealed = RegimeOracle::new(&oracle, config.regime);
+                    let snapshot = format!("cmaes-prompt-{i}");
+                    let cmaes = run.cmaes(&snapshot);
+                    let report = train_prompt_cmaes(
+                        &sealed,
+                        &mut prompt,
+                        &t_train.images,
+                        &t_train.labels,
+                        map,
+                        &regime_prompt_config(config),
+                        run.rng,
+                        cmaes,
+                    )?;
+                    shadow.model = oracle.into_inner().into_inner();
+                    report
+                }
+            };
+            let final_loss = report.losses.last().copied().unwrap_or(f32::NAN);
+            bprom_obs::counter_add("prompts.shadow", 1);
+            bprom_obs::log_event(
+                "prompt.shadow_learned",
+                [("index", i.into()), ("final_loss", final_loss.into())],
+            );
+            Ok(LearnedPrompt { prompt, final_loss })
         };
-        if let Some(ck) = ckpt {
-            let mut enc = Encoder::new();
-            prompt.persist(&mut enc);
-            enc.put_f32(final_loss);
-            ck.save_artifact(&unit, enc)?;
-            ck.mark_done(&unit)?;
-        }
-        bprom_obs::counter_add("prompts.shadow", 1);
-        bprom_obs::log_event(
-            "prompt.shadow_learned",
-            [("index", i.into()), ("final_loss", final_loss.into())],
-        );
-        Ok(LearnedPrompt { prompt, final_loss })
+        Run::new(&mut rng, ckpt).checkpointed(
+            &format!("prompt-{i}"),
+            learn,
+            |learned, _, enc| {
+                learned.prompt.persist(enc);
+                enc.put_f32(learned.final_loss);
+            },
+            |dec, _| {
+                let prompt = VisualPrompt::restore(dec)?;
+                let final_loss = dec.get_f32()?;
+                Ok(LearnedPrompt { prompt, final_loss })
+            },
+        )
     })
     .into_iter()
     .collect()
@@ -171,44 +150,28 @@ fn regime_prompt_config(config: &BpromConfig) -> bprom_vp::PromptTrainConfig {
 /// (gradient-free CMA-ES, as the paper specifies for `f_sus`).
 ///
 /// Returns the prompt and the full training report (queries consumed and
-/// candidates skipped over exhausted retries).
-///
-/// # Errors
-///
-/// Propagates prompting failures.
-pub fn prompt_suspicious(
-    config: &BpromConfig,
-    oracle: &dyn BlackBoxModel,
-    t_train: &Dataset,
-    map: &LabelMap,
-    rng: &mut Rng,
-) -> Result<(VisualPrompt, PromptTrainReport)> {
-    let (prompt, outcome) = prompt_suspicious_ckpt(config, oracle, t_train, map, rng, None)?;
-    Ok((prompt, outcome.report))
-}
-
-/// Checkpointed variant of [`prompt_suspicious`]: with a
-/// [`CmaesCheckpoint`], every CMA-ES generation snapshots the full
-/// optimizer state, and a resumed call continues from the last completed
-/// generation with carried query/fault accounting (see
-/// [`CkptTrainOutcome`]).
+/// candidates skipped over exhausted retries). Checkpointed, every
+/// CMA-ES generation snapshots the full optimizer state under
+/// `cmaes-inspect-<run.unit>`, and a resumed call continues from the last
+/// completed generation with carried query/fault accounting (see
+/// [`PromptTrainReport::carried_queries`]).
 ///
 /// # Errors
 ///
 /// Propagates prompting and checkpoint failures.
-pub fn prompt_suspicious_ckpt(
+pub fn prompt_suspicious<'r>(
     config: &BpromConfig,
     oracle: &dyn BlackBoxModel,
     t_train: &Dataset,
     map: &LabelMap,
-    rng: &mut Rng,
-    ckpt: Option<CmaesCheckpoint<'_>>,
-) -> Result<(VisualPrompt, CkptTrainOutcome)> {
+    run: impl Into<Run<'r>>,
+) -> Result<(VisualPrompt, PromptTrainReport)> {
+    let run = run.into();
     let mut prompt = VisualPrompt::random(
         t_train.channels(),
         config.image_size,
         config.prompt_border,
-        rng,
+        run.rng,
     )?
     .with_style(config.prompt_style);
     // Enforce the declared regime here (idempotent if the caller's oracle
@@ -216,17 +179,19 @@ pub fn prompt_suspicious_ckpt(
     // needs soft scores, so top-k renormalizes and label-only falls back
     // to the prompted-miss-rate proxy.
     let sealed = RegimeOracle::new(oracle, config.regime);
-    let outcome = train_prompt_cmaes_ckpt(
+    let snapshot = format!("cmaes-inspect-{}", run.unit);
+    let cmaes = run.cmaes(&snapshot);
+    let report = train_prompt_cmaes(
         &sealed,
         &mut prompt,
         &t_train.images,
         &t_train.labels,
         map,
         &regime_prompt_config(config),
-        rng,
-        ckpt,
+        run.rng,
+        cmaes,
     )?;
-    Ok((prompt, outcome))
+    Ok((prompt, report))
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
 //! Detector evaluation: run a detector against a suspicious-model zoo and
 //! compute the paper's metrics (AUROC, F1) plus the exact query budget.
 
-use crate::resume::Checkpointer;
+use crate::resume::Run;
 use crate::{Bprom, Result, SuspiciousModel, Verdict};
 use bprom_metrics::{auroc, f1_score};
 use bprom_obs::{FromJson, ToJson, Value};
 use bprom_qcache::CachingOracle;
 use bprom_tensor::Rng;
 use bprom_verdict::{sink, AuditRecord, IncidentReport, Mode, RulePolicy};
-use bprom_vp::{BlackBoxModel, QueryOracle};
+use bprom_vp::BlackBoxModel;
 
 /// The workload scenario an audited system belongs to: where, in the
 /// system's training pipeline, a backdoor could have entered.
@@ -52,9 +52,10 @@ impl std::fmt::Display for Scenario {
 
 /// One sealed entry of an oracle zoo: any [`BlackBoxModel`] with its
 /// ground-truth label and a stable fingerprint taken before sealing.
-/// The generalization of [`SuspiciousModel`] that lets composite systems
-/// (e.g. the backbone scenario's frozen backbone + visual prompt) flow
-/// through [`evaluate_oracle_zoo`] unchanged.
+/// The generalization of [`SuspiciousModel`] (see
+/// [`SuspiciousModel::into_entry`]) that lets composite systems (e.g. the
+/// backbone scenario's frozen backbone + visual prompt) flow through
+/// [`evaluate_oracle_zoo`] unchanged.
 #[derive(Debug)]
 pub struct ZooEntry<B: BlackBoxModel> {
     /// Stable fingerprint over the system's parameters (audit identity).
@@ -110,7 +111,8 @@ pub struct DetectionReport {
     pub scenario: String,
 }
 
-/// Inspects every model in the zoo and computes AUROC / F1.
+/// Inspects every model in the zoo with the plain [`Bprom::inspect`]
+/// path and computes AUROC / F1.
 ///
 /// Consumes the zoo because inspection requires exclusive query access to
 /// each model.
@@ -124,107 +126,33 @@ pub fn evaluate_detector(
     zoo: Vec<SuspiciousModel>,
     rng: &mut Rng,
 ) -> Result<DetectionReport> {
-    evaluate_detector_via(detector, zoo, rng, |detector, oracle, rng| {
-        detector.inspect(&oracle, rng)
-    })
-}
-
-/// Variant of [`evaluate_detector`] that delegates each inspection to a
-/// caller-supplied closure. The closure receives the sealed base oracle
-/// by value — already wrapped in the detector's query cache (see
-/// `bprom-qcache`; `CacheConfig::off()` makes the wrapper a passthrough)
-/// — and may stack arbitrary decorators on it (fault injection, retries,
-/// extra metering — see `bprom-faults`) before calling
-/// [`Bprom::inspect`]; fault/retry/cache totals from the verdicts are
-/// aggregated into the report.
-///
-/// # Errors
-///
-/// Propagates inspection failures; AUROC requires the zoo to contain both
-/// clean and backdoored models.
-pub fn evaluate_detector_via<F>(
-    detector: &Bprom,
-    zoo: Vec<SuspiciousModel>,
-    rng: &mut Rng,
-    mut inspect: F,
-) -> Result<DetectionReport>
-where
-    F: FnMut(&Bprom, CachingOracle<QueryOracle>, &mut Rng) -> Result<Verdict>,
-{
-    evaluate_detector_ckpt(detector, zoo, rng, None, |detector, oracle, rng, _, _| {
-        inspect(detector, oracle, rng)
-    })
-}
-
-/// Checkpointed variant of [`evaluate_detector_via`]: the closure
-/// additionally receives the run's [`Checkpointer`] (if any) and the
-/// zoo index as a unit name, so it can route each inspection through
-/// [`Bprom::inspect_ckpt`]. Completed inspections are then skipped on
-/// resume and a killed run continues mid-CMA-ES-search.
-///
-/// # Errors
-///
-/// Propagates inspection failures; AUROC requires the zoo to contain
-/// both clean and backdoored models.
-pub fn evaluate_detector_ckpt<F>(
-    detector: &Bprom,
-    zoo: Vec<SuspiciousModel>,
-    rng: &mut Rng,
-    ckpt: Option<&Checkpointer>,
-    inspect: F,
-) -> Result<DetectionReport>
-where
-    F: FnMut(
-        &Bprom,
-        CachingOracle<QueryOracle>,
-        &mut Rng,
-        Option<&Checkpointer>,
-        &str,
-    ) -> Result<Verdict>,
-{
     let num_classes = detector.config().source_dataset.num_classes();
-    let entries: Vec<ZooEntry<QueryOracle>> = zoo
-        .into_iter()
-        .map(|suspicious| ZooEntry {
-            // The fingerprint must be taken before the oracle seals the
-            // model behind the query boundary.
-            fingerprint: suspicious.fingerprint(),
-            backdoored: suspicious.backdoored,
-            oracle: QueryOracle::new(suspicious.model, num_classes),
-        })
-        .collect();
-    evaluate_oracle_zoo_ckpt(detector, Scenario::Downstream, entries, rng, ckpt, inspect)
-}
-
-/// [`evaluate_oracle_zoo_ckpt`] without checkpointing: inspects every
-/// sealed oracle with the plain [`Bprom::inspect`] path.
-///
-/// # Errors
-///
-/// Propagates inspection failures; AUROC requires the zoo to contain
-/// both clean and backdoored entries.
-pub fn evaluate_oracle_zoo<B: BlackBoxModel>(
-    detector: &Bprom,
-    scenario: Scenario,
-    zoo: Vec<ZooEntry<B>>,
-    rng: &mut Rng,
-) -> Result<DetectionReport> {
-    evaluate_oracle_zoo_ckpt(
+    let entries = zoo.into_iter().map(|m| m.into_entry(num_classes)).collect();
+    evaluate_oracle_zoo(
         detector,
-        scenario,
-        zoo,
+        Scenario::Downstream,
+        entries,
         rng,
-        None,
-        |detector, oracle, rng, _, _| detector.inspect(&oracle, rng),
+        |detector, oracle, run| detector.inspect(&oracle, run),
     )
 }
 
-/// The fully general evaluation loop: any [`BlackBoxModel`] zoo, any
-/// workload [`Scenario`], any inspection decoration. Both
-/// [`evaluate_detector_ckpt`] (downstream `SuspiciousModel` zoos) and the
-/// backbone scenario's composite systems route through here, so metric
-/// aggregation, audit-record assembly, and the B013 scenario wiring live
-/// in exactly one place.
+/// The evaluation loop: any [`BlackBoxModel`] zoo, any workload
+/// [`Scenario`], any inspection decoration. [`evaluate_detector`]
+/// (downstream `SuspiciousModel` zoos) and the backbone scenario's
+/// composite systems route through here, so metric aggregation,
+/// audit-record assembly, and the B013 scenario wiring live in exactly
+/// one place.
+///
+/// `inspect` receives each sealed oracle by value — already wrapped in
+/// the detector's query cache (see `bprom-qcache`; `CacheConfig::off()`
+/// makes the wrapper a passthrough) — and may stack decorators on it
+/// (fault injection, retries, extra metering — see `bprom-faults`)
+/// before calling [`Bprom::inspect`] with the [`Run`] it is handed. That
+/// run carries the zoo index as its unit name, so a checkpointed
+/// evaluation skips completed inspections on resume and continues a
+/// killed one mid-CMA-ES-search. Fault/retry/cache totals from the
+/// verdicts are aggregated into the report.
 ///
 /// Under [`Scenario::Backbone`] every audit's signals carry the
 /// clean-downstream-training attestation, so prompted-accuracy collapse
@@ -234,19 +162,19 @@ pub fn evaluate_oracle_zoo<B: BlackBoxModel>(
 ///
 /// Propagates inspection failures; AUROC requires the zoo to contain
 /// both clean and backdoored entries.
-pub fn evaluate_oracle_zoo_ckpt<B, F>(
+pub fn evaluate_oracle_zoo<'r, B, F>(
     detector: &Bprom,
     scenario: Scenario,
     zoo: Vec<ZooEntry<B>>,
-    rng: &mut Rng,
-    ckpt: Option<&Checkpointer>,
+    run: impl Into<Run<'r>>,
     mut inspect: F,
 ) -> Result<DetectionReport>
 where
     B: BlackBoxModel,
-    F: FnMut(&Bprom, CachingOracle<B>, &mut Rng, Option<&Checkpointer>, &str) -> Result<Verdict>,
+    F: FnMut(&Bprom, CachingOracle<B>, Run<'_>) -> Result<Verdict>,
 {
     bprom_obs::span!("evaluate_detector");
+    let mut run = run.into();
     let mut scores = Vec::with_capacity(zoo.len());
     let mut labels = Vec::with_capacity(zoo.len());
     let mut prompted_accuracies = Vec::with_capacity(zoo.len());
@@ -266,7 +194,15 @@ where
         // content only, so sharing entries across models would serve one
         // model's confidences for another.
         let oracle = CachingOracle::new(entry.oracle, detector.config().cache);
-        let verdict = inspect(detector, oracle, rng, ckpt, &i.to_string())?;
+        let unit = i.to_string();
+        let verdict = inspect(
+            detector,
+            oracle,
+            Run {
+                unit: &unit,
+                ..run.reborrow()
+            },
+        )?;
         scores.push(verdict.score);
         labels.push(entry.backdoored);
         prompted_accuracies.push(verdict.prompted_accuracy);

@@ -19,25 +19,26 @@
 //! crash *between* artifact write and journal append merely re-runs the
 //! unit, which overwrites the artifact with identical bytes.
 //!
-//! The journal and store live in one directory (`BPROM_CKPT_DIR`); a
-//! `manifest` snapshot fingerprints the run (config + seed) so a stale
-//! directory from a different run is rejected instead of silently
-//! splicing mismatched state.
+//! The journal and store live in one directory; a `manifest` snapshot
+//! fingerprints the run (config + seed) so a stale directory from a
+//! different run is rejected instead of silently splicing mismatched
+//! state.
+//!
+//! Every pipeline stage takes its RNG stream and optional checkpointer
+//! as one [`Run`] value. A plain `&mut Rng` converts into an
+//! uncheckpointed run, so callers that never checkpoint pass their RNG
+//! exactly as before.
 
 use crate::{BpromError, Result};
 use bprom_ckpt::{crash_point, Encoder, Journal, SnapshotStore};
 use bprom_nn::Sequential;
 use bprom_tensor::{Rng, Tensor};
+use bprom_vp::CmaesCheckpoint;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 pub use bprom_ckpt::Decoder;
-
-/// Environment variable naming the checkpoint directory. When set (and
-/// non-empty), binaries that support checkpointing persist their
-/// progress there and resume from it on restart.
-pub const CKPT_DIR_ENV: &str = "BPROM_CKPT_DIR";
 
 /// Coordinates the stage journal and artifact snapshots of one
 /// checkpointed pipeline run.
@@ -79,43 +80,20 @@ impl Checkpointer {
         })
     }
 
-    /// Opens the checkpointer named by [`CKPT_DIR_ENV`], or returns
-    /// `None` when the variable is unset or empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Checkpointer::open`] failures.
-    pub fn from_env() -> Result<Option<Self>> {
-        match std::env::var(CKPT_DIR_ENV) {
-            Ok(dir) if !dir.is_empty() => Ok(Some(Self::open(dir)?)),
-            _ => Ok(None),
-        }
-    }
-
     /// The checkpoint directory.
     pub fn dir(&self) -> &Path {
         self.store.dir()
     }
 
-    /// The underlying snapshot store (for per-generation CMA-ES
-    /// snapshots, which bypass the unit journal).
-    pub fn store(&self) -> &SnapshotStore {
-        &self.store
-    }
-
     /// Whether `unit` completed in a previous (or this) process.
-    pub fn is_done(&self, unit: &str) -> bool {
+    fn is_done(&self, unit: &str) -> bool {
         self.done.lock().expect("done set poisoned").contains(unit)
     }
 
     /// Marks `unit` complete: appends it to the journal (fsynced), then
     /// crosses the `unit`'s crash point. Call only after the unit's
     /// artifact snapshot is durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BpromError::Ckpt`] on journal I/O failure.
-    pub fn mark_done(&self, unit: &str) -> Result<()> {
+    fn mark_done(&self, unit: &str) -> Result<()> {
         self.journal
             .lock()
             .expect("journal poisoned")
@@ -126,27 +104,6 @@ impl Checkpointer {
             .insert(unit.to_string());
         crash_point(unit);
         Ok(())
-    }
-
-    /// Writes `unit`'s artifact snapshot atomically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BpromError::Ckpt`] on snapshot I/O failure.
-    pub fn save_artifact(&self, unit: &str, enc: Encoder) -> Result<()> {
-        self.store.save(unit, &enc.into_bytes())?;
-        Ok(())
-    }
-
-    /// Loads `unit`'s artifact snapshot, which must exist (the journal
-    /// says the unit completed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BpromError::Ckpt`] if the snapshot is missing or fails
-    /// validation.
-    pub fn load_artifact(&self, unit: &str) -> Result<Vec<u8>> {
-        Ok(self.store.load_required(unit)?)
     }
 
     /// Guards against resuming into a directory produced by a
@@ -177,6 +134,103 @@ impl Checkpointer {
         self.store.save("manifest", &enc.into_bytes())?;
         crash_point("manifest");
         Ok(())
+    }
+}
+
+/// The run context every pipeline stage takes: the caller's RNG stream,
+/// the checkpointer (if the run is checkpointed), and the name of the
+/// unit of work within the run (an inspection's zoo index, say).
+///
+/// Stages accept `impl Into<Run>`, and `&mut Rng` converts into an
+/// uncheckpointed run named `adhoc`, so `Bprom::fit(&config, &mut rng)`
+/// and `Bprom::fit(&config, Run::new(&mut rng, Some(&ck)))` are the same
+/// function. With a checkpointer, every completed unit (shadow, prompt,
+/// zoo model, meta forest, verdict) is snapshotted and journalled, and a
+/// re-run against the same directory — same config, same seed — skips
+/// completed units and continues bit-identically from the first
+/// incomplete one.
+#[derive(Debug)]
+pub struct Run<'a> {
+    /// The caller's RNG stream.
+    pub rng: &'a mut Rng,
+    /// Where completed units are journalled; `None` runs uncheckpointed.
+    pub ckpt: Option<&'a Checkpointer>,
+    /// Name of this unit of work within the run; [`Bprom::inspect`]
+    /// names its snapshots `inspect-<unit>` and `cmaes-inspect-<unit>`.
+    ///
+    /// [`Bprom::inspect`]: crate::Bprom::inspect
+    pub unit: &'a str,
+}
+
+impl<'a> From<&'a mut Rng> for Run<'a> {
+    fn from(rng: &'a mut Rng) -> Self {
+        Run::new(rng, None)
+    }
+}
+
+impl<'a> Run<'a> {
+    /// A run on `rng`, checkpointed when `ckpt` is set, with unit name
+    /// `adhoc`.
+    pub fn new(rng: &'a mut Rng, ckpt: Option<&'a Checkpointer>) -> Self {
+        Run {
+            rng,
+            ckpt,
+            unit: "adhoc",
+        }
+    }
+
+    /// The same run, borrowed for one stage call so the caller keeps it.
+    pub fn reborrow(&mut self) -> Run<'_> {
+        Run {
+            rng: &mut *self.rng,
+            ckpt: self.ckpt,
+            unit: self.unit,
+        }
+    }
+
+    /// The per-generation CMA-ES snapshot slot `name`, when checkpointed.
+    pub(crate) fn cmaes<'n>(&self, name: &'n str) -> Option<CmaesCheckpoint<'n>>
+    where
+        'a: 'n,
+    {
+        self.ckpt.map(|ck| CmaesCheckpoint {
+            store: &ck.store,
+            name,
+        })
+    }
+
+    /// Runs one checkpoint unit named `name`. When the journal marks it
+    /// done, its artifact is decoded (`decode` must consume every byte)
+    /// instead of computing. Otherwise `compute` runs, `encode` writes
+    /// the artifact, the artifact is saved atomically, and only then is
+    /// the unit marked done, so a crash between the two re-runs the unit.
+    /// Uncheckpointed, this is just `compute`.
+    ///
+    /// A unit that consumes the caller's stream sequentially records the
+    /// stream position last in `encode` and restores it last in `decode`.
+    pub(crate) fn checkpointed<T>(
+        &mut self,
+        name: &str,
+        compute: impl FnOnce(Run<'_>) -> Result<T>,
+        encode: impl FnOnce(&T, &Rng, &mut Encoder),
+        decode: impl FnOnce(&mut Decoder<'_>, &mut Rng) -> Result<T>,
+    ) -> Result<T> {
+        let Some(ck) = self.ckpt else {
+            return compute(self.reborrow());
+        };
+        if ck.is_done(name) {
+            let bytes = ck.store.load_required(name)?;
+            let mut dec = Decoder::new(&bytes);
+            let value = decode(&mut dec, self.rng)?;
+            dec.finish()?;
+            return Ok(value);
+        }
+        let value = compute(self.reborrow())?;
+        let mut enc = Encoder::new();
+        encode(&value, self.rng, &mut enc);
+        ck.store.save(name, &enc.into_bytes())?;
+        ck.mark_done(name)?;
+        Ok(value)
     }
 }
 

@@ -2,10 +2,9 @@
 //! Models"): clean shadows trained on `D_S`, backdoor shadows trained on
 //! poisoned copies `D_P` with per-shadow trigger/target variation.
 
-use crate::resume::{decode_model_into, encode_model, Checkpointer, Decoder};
+use crate::resume::{decode_model_into, encode_model, Run};
 use crate::{BpromConfig, Result};
 use bprom_attacks::{poison_dataset, PoisonConfig};
-use bprom_ckpt::Encoder;
 use bprom_data::Dataset;
 use bprom_nn::models::{build, ModelSpec};
 use bprom_nn::{Sequential, Trainer};
@@ -15,35 +14,6 @@ use bprom_tensor::Rng;
 /// oracle (swapped back immediately afterwards).
 pub(crate) fn empty_model() -> Sequential {
     Sequential::new(Vec::new())
-}
-
-/// Rebuilds a journalled shadow from its artifact snapshot: a fresh
-/// skeleton of the configured architecture (initialized from the
-/// shadow's private forked stream, which is then discarded) receives the
-/// snapshotted parameters and buffers.
-fn restore_shadow(
-    ck: &Checkpointer,
-    unit: &str,
-    config: &BpromConfig,
-    spec: &ModelSpec,
-    rng: &mut Rng,
-) -> Result<ShadowModel> {
-    let bytes = ck.load_artifact(unit)?;
-    let mut dec = Decoder::new(&bytes);
-    let backdoored = dec.get_bool()?;
-    let target_class = if dec.get_bool()? {
-        Some(dec.get_usize()?)
-    } else {
-        None
-    };
-    let mut model = build(config.architecture, spec, rng)?;
-    decode_model_into(&mut dec, &mut model)?;
-    dec.finish()?;
-    Ok(ShadowModel {
-        model,
-        backdoored,
-        target_class,
-    })
 }
 
 /// One trained shadow model plus its ground-truth label.
@@ -80,30 +50,17 @@ impl ShadowSet {
     /// class (paper: "by sampling different combinations of backdoor
     /// patterns (m, t, α, y_t), various `D_P` can be generated").
     ///
-    /// # Errors
-    ///
-    /// Propagates training/poisoning failures.
-    pub fn train(config: &BpromConfig, ds: &Dataset, rng: &mut Rng) -> Result<Self> {
-        Self::train_ckpt(config, ds, rng, None)
-    }
-
-    /// Checkpointed variant of [`ShadowSet::train`]: each trained shadow
-    /// is snapshotted (unit `shadow-<i>`) and journalled, and shadows the
-    /// journal marks done are restored instead of retrained.
-    ///
-    /// Each shadow trains from its own pre-forked RNG stream, so a
-    /// restored shadow simply discards that stream — no RNG state needs
+    /// Checkpointed, each trained shadow is a unit `shadow-<i>`. Each
+    /// shadow trains from its own pre-forked RNG stream, so a restored
+    /// shadow simply discards that stream — no RNG state needs
     /// recording, and the caller's stream is untouched either way.
     ///
     /// # Errors
     ///
     /// Propagates training/poisoning and checkpoint failures.
-    pub fn train_ckpt(
-        config: &BpromConfig,
-        ds: &Dataset,
-        rng: &mut Rng,
-        ckpt: Option<&Checkpointer>,
-    ) -> Result<Self> {
+    pub fn train<'r>(config: &BpromConfig, ds: &Dataset, run: impl Into<Run<'r>>) -> Result<Self> {
+        let run = run.into();
+        let ckpt = run.ckpt;
         let spec = ModelSpec::new(ds.channels(), ds.image_size(), ds.num_classes);
         let trainer = Trainer::new(config.train);
         // Fork one child generator per shadow *up front, in shadow order*.
@@ -112,72 +69,89 @@ impl ShadowSet {
         let mut jobs: Vec<(usize, bool, Rng)> =
             Vec::with_capacity(config.clean_shadows + config.backdoor_shadows);
         for i in 0..config.clean_shadows {
-            jobs.push((i, false, rng.fork()));
+            jobs.push((i, false, run.rng.fork()));
         }
         for i in 0..config.backdoor_shadows {
-            jobs.push((config.clean_shadows + i, true, rng.fork()));
+            jobs.push((config.clean_shadows + i, true, run.rng.fork()));
         }
         let timed = bprom_obs::enabled();
         let shadows = bprom_par::par_map(jobs, |(i, backdoored, mut rng)| -> Result<ShadowModel> {
-            let unit = format!("shadow-{i}");
-            if let Some(ck) = ckpt {
-                if ck.is_done(&unit) {
-                    return restore_shadow(ck, &unit, config, &spec, &mut rng);
+            let train_one = |run: Run<'_>| -> Result<ShadowModel> {
+                let rng = run.rng;
+                let start = timed.then(std::time::Instant::now);
+                let (model, target_class) = if backdoored {
+                    // Fresh trigger instance per shadow (random pattern
+                    // components draw from the shadow's stream), fresh
+                    // target.
+                    let attack = config.shadow_attack.build(ds.image_size(), rng)?;
+                    let target = rng.below(ds.num_classes);
+                    let defaults = config.shadow_attack.default_config(target);
+                    let cfg = PoisonConfig::new(defaults.poison_rate, defaults.cover_rate, target);
+                    let poisoned = poison_dataset(ds, attack.as_ref(), &cfg, rng)?;
+                    let mut model = build(config.architecture, &spec, rng)?;
+                    trainer.fit(
+                        &mut model,
+                        &poisoned.dataset.images,
+                        &poisoned.dataset.labels,
+                        rng,
+                    )?;
+                    (model, Some(target))
+                } else {
+                    let mut model = build(config.architecture, &spec, rng)?;
+                    trainer.fit(&mut model, &ds.images, &ds.labels, rng)?;
+                    (model, None)
+                };
+                if let Some(start) = start {
+                    bprom_obs::observe("shadow.train_ns", start.elapsed().as_nanos() as u64);
+                    bprom_obs::counter_add(
+                        if backdoored {
+                            "shadows.backdoored"
+                        } else {
+                            "shadows.clean"
+                        },
+                        1,
+                    );
+                    bprom_obs::log_event(
+                        "shadow.trained",
+                        [("index", i.into()), ("backdoored", backdoored.into())],
+                    );
                 }
-            }
-            let start = timed.then(std::time::Instant::now);
-            let (model, target_class) = if backdoored {
-                // Fresh trigger instance per shadow (random pattern
-                // components draw from the shadow's stream), fresh target.
-                let attack = config.shadow_attack.build(ds.image_size(), &mut rng)?;
-                let target = rng.below(ds.num_classes);
-                let defaults = config.shadow_attack.default_config(target);
-                let cfg = PoisonConfig::new(defaults.poison_rate, defaults.cover_rate, target);
-                let poisoned = poison_dataset(ds, attack.as_ref(), &cfg, &mut rng)?;
-                let mut model = build(config.architecture, &spec, &mut rng)?;
-                trainer.fit(
-                    &mut model,
-                    &poisoned.dataset.images,
-                    &poisoned.dataset.labels,
-                    &mut rng,
-                )?;
-                (model, Some(target))
-            } else {
-                let mut model = build(config.architecture, &spec, &mut rng)?;
-                trainer.fit(&mut model, &ds.images, &ds.labels, &mut rng)?;
-                (model, None)
+                Ok(ShadowModel {
+                    model,
+                    backdoored,
+                    target_class,
+                })
             };
-            if let Some(start) = start {
-                bprom_obs::observe("shadow.train_ns", start.elapsed().as_nanos() as u64);
-                bprom_obs::counter_add(
-                    if backdoored {
-                        "shadows.backdoored"
+            Run::new(&mut rng, ckpt).checkpointed(
+                &format!("shadow-{i}"),
+                train_one,
+                |shadow, _, enc| {
+                    enc.put_bool(shadow.backdoored);
+                    enc.put_bool(shadow.target_class.is_some());
+                    if let Some(t) = shadow.target_class {
+                        enc.put_usize(t);
+                    }
+                    encode_model(enc, &shadow.model);
+                },
+                // A fresh skeleton of the configured architecture
+                // (initialized from the shadow's private stream, which is
+                // then discarded) receives the snapshotted weights.
+                |dec, rng| {
+                    let backdoored = dec.get_bool()?;
+                    let target_class = if dec.get_bool()? {
+                        Some(dec.get_usize()?)
                     } else {
-                        "shadows.clean"
-                    },
-                    1,
-                );
-                bprom_obs::log_event(
-                    "shadow.trained",
-                    [("index", i.into()), ("backdoored", backdoored.into())],
-                );
-            }
-            if let Some(ck) = ckpt {
-                let mut enc = Encoder::new();
-                enc.put_bool(backdoored);
-                enc.put_bool(target_class.is_some());
-                if let Some(t) = target_class {
-                    enc.put_usize(t);
-                }
-                encode_model(&mut enc, &model);
-                ck.save_artifact(&unit, enc)?;
-                ck.mark_done(&unit)?;
-            }
-            Ok(ShadowModel {
-                model,
-                backdoored,
-                target_class,
-            })
+                        None
+                    };
+                    let mut model = build(config.architecture, &spec, rng)?;
+                    decode_model_into(dec, &mut model)?;
+                    Ok(ShadowModel {
+                        model,
+                        backdoored,
+                        target_class,
+                    })
+                },
+            )
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;

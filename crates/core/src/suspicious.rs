@@ -2,16 +2,13 @@
 //! models the experiments feed to the detector (paper Section 6.1 uses 30
 //! clean + 30 backdoored suspicious models per attack).
 
-use crate::resume::{
-    decode_model_into, decode_rng, encode_model, encode_rng, Checkpointer, Decoder,
-};
-use crate::{BpromError, Result};
+use crate::resume::{decode_model_into, decode_rng, encode_model, encode_rng, Run};
+use crate::{BpromError, Result, ZooEntry};
 use bprom_attacks::{attack_success_rate, poison_dataset, AttackKind, PoisonConfig};
-use bprom_ckpt::Encoder;
 use bprom_data::SynthDataset;
 use bprom_nn::models::{build, Architecture, ModelSpec};
 use bprom_nn::{Sequential, TrainConfig, Trainer};
-use bprom_tensor::Rng;
+use bprom_vp::QueryOracle;
 
 /// One suspicious model with its ground truth and quality metrics.
 pub struct SuspiciousModel {
@@ -41,6 +38,16 @@ impl SuspiciousModel {
     /// correlation stage groups repeated audits by.
     pub fn fingerprint(&self) -> String {
         model_fingerprint(&self.model)
+    }
+
+    /// Seals the model behind a `num_classes`-way [`QueryOracle`] as a
+    /// zoo entry for `evaluate_oracle_zoo`, fingerprinted before sealing.
+    pub fn into_entry(self, num_classes: usize) -> ZooEntry<QueryOracle> {
+        ZooEntry {
+            fingerprint: self.fingerprint(),
+            backdoored: self.backdoored,
+            oracle: QueryOracle::new(self.model, num_classes),
+        }
     }
 }
 
@@ -118,28 +125,21 @@ impl ZooConfig {
 /// with the configured attack. Each model gets a fresh dataset seed and a
 /// fresh trigger instance, as in the paper's 30+30 evaluation protocol.
 ///
-/// # Errors
-///
-/// Propagates training/poisoning failures and rejects empty zoos.
-pub fn build_suspicious_zoo(config: &ZooConfig, rng: &mut Rng) -> Result<Vec<SuspiciousModel>> {
-    build_suspicious_zoo_ckpt(config, rng, None)
-}
-
-/// Checkpointed variant of [`build_suspicious_zoo`]: each trained model
-/// is snapshotted (unit `zoo-<i>`) with its metrics and the RNG state at
-/// completion. Zoo models consume the caller's stream sequentially, so a
-/// restored unit also restores the stream position recorded when it
-/// finished, keeping every later model bit-identical.
+/// Checkpointed, each trained model is a unit `zoo-<i>` holding its
+/// metrics and the RNG state at completion. Zoo models consume the
+/// caller's stream sequentially, so a restored unit also restores the
+/// stream position recorded when it finished, keeping every later model
+/// bit-identical.
 ///
 /// # Errors
 ///
 /// Propagates training/poisoning and checkpoint failures and rejects
 /// empty zoos.
-pub fn build_suspicious_zoo_ckpt(
+pub fn build_suspicious_zoo<'r>(
     config: &ZooConfig,
-    rng: &mut Rng,
-    ckpt: Option<&Checkpointer>,
+    run: impl Into<Run<'r>>,
 ) -> Result<Vec<SuspiciousModel>> {
+    let mut run = run.into();
     if config.clean + config.backdoored == 0 {
         return Err(BpromError::InvalidConfig {
             reason: "zoo must contain at least one model".to_string(),
@@ -150,75 +150,72 @@ pub fn build_suspicious_zoo_ckpt(
     let mut zoo = Vec::with_capacity(config.clean + config.backdoored);
     for i in 0..config.clean + config.backdoored {
         let is_backdoored = i >= config.clean;
-        let unit = format!("zoo-{i}");
-        if let Some(ck) = ckpt {
-            if ck.is_done(&unit) {
-                let bytes = ck.load_artifact(&unit)?;
-                let mut dec = Decoder::new(&bytes);
+        let train_one = |run: Run<'_>| -> Result<SuspiciousModel> {
+            let rng = run.rng;
+            let full = config.dataset.generate(
+                config.samples_per_class,
+                config.image_size,
+                rng.next_u64(),
+            )?;
+            let (train, test) = full.split(0.8, rng)?;
+            let mut model = build(config.architecture, &spec, rng)?;
+            let (accuracy, asr);
+            if is_backdoored {
+                let attack = config.attack.build(config.image_size, rng)?;
+                let poison_cfg = config.poison.unwrap_or_else(|| {
+                    config
+                        .attack
+                        .default_config(rng.below(config.dataset.num_classes()))
+                });
+                let poisoned = poison_dataset(&train, attack.as_ref(), &poison_cfg, rng)?;
+                trainer.fit(
+                    &mut model,
+                    &poisoned.dataset.images,
+                    &poisoned.dataset.labels,
+                    rng,
+                )?;
+                accuracy = trainer.evaluate(&mut model, &test.images, &test.labels)?;
+                asr = attack_success_rate(&mut model, attack.as_ref(), &test, &poison_cfg, rng)?;
+            } else {
+                trainer.fit(&mut model, &train.images, &train.labels, rng)?;
+                accuracy = trainer.evaluate(&mut model, &test.images, &test.labels)?;
+                asr = 0.0;
+            }
+            Ok(SuspiciousModel {
+                model,
+                backdoored: is_backdoored,
+                accuracy,
+                asr,
+            })
+        };
+        zoo.push(run.checkpointed(
+            &format!("zoo-{i}"),
+            train_one,
+            |m, rng, enc| {
+                enc.put_bool(m.backdoored);
+                enc.put_f32(m.accuracy);
+                enc.put_f32(m.asr);
+                encode_model(enc, &m.model);
+                encode_rng(enc, rng);
+            },
+            // A fresh skeleton receives the snapshotted weights; the draws
+            // its construction makes are irrelevant because the recorded
+            // post-unit stream position is restored next.
+            |dec, rng| {
                 let backdoored = dec.get_bool()?;
                 let accuracy = dec.get_f32()?;
                 let asr = dec.get_f32()?;
-                // A fresh skeleton receives the snapshotted weights; the
-                // draws its construction makes are irrelevant because the
-                // recorded post-unit stream position is restored next.
                 let mut model = build(config.architecture, &spec, rng)?;
-                decode_model_into(&mut dec, &mut model)?;
-                let restored = decode_rng(&mut dec)?;
-                dec.finish()?;
-                *rng = restored;
-                zoo.push(SuspiciousModel {
+                decode_model_into(dec, &mut model)?;
+                *rng = decode_rng(dec)?;
+                Ok(SuspiciousModel {
                     model,
                     backdoored,
                     accuracy,
                     asr,
-                });
-                continue;
-            }
-        }
-        let full =
-            config
-                .dataset
-                .generate(config.samples_per_class, config.image_size, rng.next_u64())?;
-        let (train, test) = full.split(0.8, rng)?;
-        let mut model = build(config.architecture, &spec, rng)?;
-        let (accuracy, asr);
-        if is_backdoored {
-            let attack = config.attack.build(config.image_size, rng)?;
-            let poison_cfg = config.poison.unwrap_or_else(|| {
-                config
-                    .attack
-                    .default_config(rng.below(config.dataset.num_classes()))
-            });
-            let poisoned = poison_dataset(&train, attack.as_ref(), &poison_cfg, rng)?;
-            trainer.fit(
-                &mut model,
-                &poisoned.dataset.images,
-                &poisoned.dataset.labels,
-                rng,
-            )?;
-            accuracy = trainer.evaluate(&mut model, &test.images, &test.labels)?;
-            asr = attack_success_rate(&mut model, attack.as_ref(), &test, &poison_cfg, rng)?;
-        } else {
-            trainer.fit(&mut model, &train.images, &train.labels, rng)?;
-            accuracy = trainer.evaluate(&mut model, &test.images, &test.labels)?;
-            asr = 0.0;
-        }
-        if let Some(ck) = ckpt {
-            let mut enc = Encoder::new();
-            enc.put_bool(is_backdoored);
-            enc.put_f32(accuracy);
-            enc.put_f32(asr);
-            encode_model(&mut enc, &model);
-            encode_rng(&mut enc, rng);
-            ck.save_artifact(&unit, enc)?;
-            ck.mark_done(&unit)?;
-        }
-        zoo.push(SuspiciousModel {
-            model,
-            backdoored: is_backdoored,
-            accuracy,
-            asr,
-        });
+                })
+            },
+        )?);
     }
     Ok(zoo)
 }
@@ -226,6 +223,7 @@ pub fn build_suspicious_zoo_ckpt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bprom_tensor::Rng;
 
     #[test]
     fn zoo_has_requested_composition() {

@@ -70,24 +70,15 @@ pub use retry::{RetryPolicy, RetryingOracle};
 use bprom_vp::BlackBoxModel;
 
 /// Runs `f` against `oracle` wrapped according to the env-selected
-/// [`FaultProfile`] (`BPROM_FAULT_PROFILE`): under `hostile`, the oracle
-/// goes behind the profile's fault plan and retry policy; otherwise `f`
-/// sees it untouched. This is the hook the integration-test helpers use
-/// so the whole suite can run against hostile oracles in CI.
+/// [`FaultProfile`] (`BPROM_FAULT_PROFILE`; see [`FaultProfile::wrap`]).
+/// This is the hook the integration-test helpers use so the whole suite
+/// can run against hostile oracles in CI.
 pub fn with_env_profile<R>(
     oracle: &dyn BlackBoxModel,
     seed: u64,
     f: impl FnOnce(&dyn BlackBoxModel) -> R,
 ) -> R {
-    let profile = FaultProfile::from_env();
-    match profile {
-        FaultProfile::Off => f(oracle),
-        FaultProfile::Hostile => {
-            let faulty = FaultyOracle::new(oracle, profile.plan(), seed);
-            let retrying = RetryingOracle::new(&faulty, profile.retry_policy());
-            f(&retrying)
-        }
-    }
+    FaultProfile::from_env().wrap(oracle, seed, f)
 }
 
 #[cfg(test)]
@@ -95,27 +86,47 @@ mod tests {
     use super::*;
     use bprom_nn::models::{mlp, ModelSpec};
     use bprom_tensor::{Rng, Tensor};
-    use bprom_vp::QueryOracle;
+    use bprom_vp::{OracleStats, QueryOracle};
+
+    type Replay = (Vec<Result<Vec<u32>, String>>, OracleStats);
+
+    /// The bits of every response (or the typed failure) `oracle` gives
+    /// to `batches`, plus the stats the stack accumulated.
+    fn replay(oracle: &dyn BlackBoxModel, batches: &[Tensor]) -> Replay {
+        let responses = batches
+            .iter()
+            .map(|b| {
+                let probs = oracle.query(b).map_err(|e| e.to_string())?;
+                Ok(probs.data().iter().map(|v| v.to_bits()).collect())
+            })
+            .collect();
+        (responses, oracle.oracle_stats())
+    }
 
     #[test]
-    fn env_profile_off_is_passthrough() {
-        // BPROM_FAULT_PROFILE is not set inside unit tests (the hostile
-        // CI job exercises the other arm end to end); either way the
-        // wrapped call must deliver the same confidence matrix.
+    fn profile_wrap_covers_both_arms() {
         let mut rng = Rng::new(0);
         let oracle = QueryOracle::new(mlp(&ModelSpec::new(3, 8, 5), &mut rng).unwrap(), 5);
-        let batch = Tensor::rand_uniform(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
-        let direct = oracle.query(&batch).unwrap();
-        let via = with_env_profile(&oracle, 42, |o| o.query(&batch).unwrap());
-        if FaultProfile::from_env() == FaultProfile::Off {
-            assert_eq!(via, direct);
-        } else {
-            // Hostile: quantized to 3 decimals but still row-normalized
-            // to within quantization error.
-            assert_eq!(via.shape(), direct.shape());
-            for (v, d) in via.data().iter().zip(direct.data()) {
-                assert!((v - d).abs() < 1e-3, "{v} vs {d}");
-            }
-        }
+        let batches: Vec<Tensor> = (0..40)
+            .map(|_| Tensor::rand_uniform(&[4, 3, 8, 8], 0.0, 1.0, &mut rng))
+            .collect();
+        // Off is a passthrough: the very oracle, untouched.
+        let direct = replay(&oracle, &batches);
+        let off = FaultProfile::Off.wrap(&oracle, 0xFA17, |o| replay(o, &batches));
+        assert_eq!(off, direct);
+        // Hostile is the standard hand-built stack, bit for bit: 10 %
+        // transient drops plus 3-decimal quantization under seed-keyed
+        // draws, behind the default retry policy.
+        let hostile = FaultProfile::Hostile.wrap(&oracle, 0xFA17, |o| replay(o, &batches));
+        let plan = Stack(vec![
+            Box::new(Transient { rate: 0.1 }),
+            Box::new(Quantize { decimals: 3 }),
+        ]);
+        let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
+        let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
+        assert_eq!(hostile, replay(&retrying, &batches));
+        assert!(hostile.1.faults_injected > 0, "{:?}", hostile.1);
+        assert!(hostile.1.degraded_responses > 0, "{:?}", hostile.1);
+        assert_ne!(hostile.0, direct.0);
     }
 }

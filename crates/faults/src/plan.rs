@@ -11,7 +11,7 @@
 //! [`FaultyOracle`]: crate::FaultyOracle
 
 use bprom_tensor::{Rng, Tensor};
-use bprom_vp::QueryFault;
+use bprom_vp::{BlackBoxModel, QueryFault};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One layer of hostile-endpoint behaviour.
@@ -292,6 +292,27 @@ impl FaultProfile {
     /// The retry policy paired with this profile.
     pub fn retry_policy(&self) -> crate::RetryPolicy {
         crate::RetryPolicy::default()
+    }
+
+    /// Runs `f` against `oracle` wrapped in this profile: under
+    /// [`FaultProfile::Hostile`] the oracle goes behind the profile's
+    /// fault plan (drawn from `seed`) and a retry layer with the profile's
+    /// policy (`Retrying → Faulty → oracle`); [`FaultProfile::Off`] hands
+    /// `f` the oracle untouched.
+    pub fn wrap<R>(
+        self,
+        oracle: &dyn BlackBoxModel,
+        seed: u64,
+        f: impl FnOnce(&dyn BlackBoxModel) -> R,
+    ) -> R {
+        match self {
+            FaultProfile::Off => f(oracle),
+            FaultProfile::Hostile => {
+                let faulty = crate::FaultyOracle::new(oracle, self.plan(), seed);
+                let retrying = crate::RetryingOracle::new(&faulty, self.retry_policy());
+                f(&retrying)
+            }
+        }
     }
 }
 

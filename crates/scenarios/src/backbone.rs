@@ -18,15 +18,11 @@
 //! raises rule `B013` ("backbone-implanted backdoor suspected").
 
 use crate::PromptedBackbone;
-use bprom::{
-    evaluate_oracle_zoo, evaluate_oracle_zoo_ckpt, Bprom, BpromError, DetectionReport, Result,
-    Scenario, Verdict, ZooEntry,
-};
+use bprom::{evaluate_oracle_zoo, Bprom, BpromError, DetectionReport, Result, Scenario, ZooEntry};
 use bprom_attacks::{attack_success_rate, poison_dataset, AttackKind, PoisonConfig};
 use bprom_data::SynthDataset;
 use bprom_nn::models::{build, Architecture, ModelSpec};
 use bprom_nn::{Sequential, TrainConfig, Trainer};
-use bprom_qcache::CachingOracle;
 use bprom_tensor::Rng;
 use bprom_vp::{
     prompted_accuracy, train_prompt_backprop, LabelMap, PromptStyle, PromptTrainConfig,
@@ -255,19 +251,23 @@ pub fn build_backbone_zoo(
     Ok(zoo)
 }
 
-fn entries(zoo: Vec<BackboneSystem>) -> Vec<ZooEntry<PromptedBackbone>> {
-    zoo.into_iter()
-        .map(|s| ZooEntry {
+/// Seals a composite as a zoo entry for `evaluate_oracle_zoo`, carrying
+/// the fingerprint recorded before sealing.
+impl From<BackboneSystem> for ZooEntry<PromptedBackbone> {
+    fn from(s: BackboneSystem) -> Self {
+        ZooEntry {
             fingerprint: s.fingerprint,
             backdoored: s.backdoored,
             oracle: s.system,
-        })
-        .collect()
+        }
+    }
 }
 
 /// Inspects every composite in the backbone zoo under
-/// [`Scenario::Backbone`] and computes AUROC / F1 (see
-/// [`evaluate_oracle_zoo`]).
+/// [`Scenario::Backbone`] with the plain [`Bprom::inspect`] path and
+/// computes AUROC / F1. To stack decorators (fault injection, retries)
+/// on each sealed cached composite, call [`evaluate_oracle_zoo`] on the
+/// zoo's [`ZooEntry`] conversions directly.
 ///
 /// # Errors
 ///
@@ -278,34 +278,13 @@ pub fn evaluate_backbone_zoo(
     zoo: Vec<BackboneSystem>,
     rng: &mut Rng,
 ) -> Result<DetectionReport> {
-    evaluate_oracle_zoo(detector, Scenario::Backbone, entries(zoo), rng)
-}
-
-/// Variant of [`evaluate_backbone_zoo`] that delegates each inspection to
-/// a caller-supplied closure, for stacking hostile decorators (fault
-/// injection, retries) on the sealed cached composite — the backbone
-/// analogue of `bprom::evaluate_detector_via`.
-///
-/// # Errors
-///
-/// Propagates inspection failures; AUROC requires the zoo to contain
-/// both clean and backdoored composites.
-pub fn evaluate_backbone_zoo_via<F>(
-    detector: &Bprom,
-    zoo: Vec<BackboneSystem>,
-    rng: &mut Rng,
-    mut inspect: F,
-) -> Result<DetectionReport>
-where
-    F: FnMut(&Bprom, CachingOracle<PromptedBackbone>, &mut Rng) -> Result<Verdict>,
-{
-    evaluate_oracle_zoo_ckpt(
+    let entries = zoo.into_iter().map(ZooEntry::from).collect();
+    evaluate_oracle_zoo(
         detector,
         Scenario::Backbone,
-        entries(zoo),
+        entries,
         rng,
-        None,
-        |detector, oracle, rng, _, _| inspect(detector, oracle, rng),
+        |detector, oracle, run| detector.inspect(&oracle, run),
     )
 }
 

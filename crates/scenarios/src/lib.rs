@@ -22,7 +22,7 @@ mod backbone;
 mod composite;
 
 pub use backbone::{
-    build_backbone_zoo, composite_fingerprint, evaluate_backbone_zoo, evaluate_backbone_zoo_via,
-    BackboneScenarioConfig, BackboneSystem,
+    build_backbone_zoo, composite_fingerprint, evaluate_backbone_zoo, BackboneScenarioConfig,
+    BackboneSystem,
 };
 pub use composite::PromptedBackbone;

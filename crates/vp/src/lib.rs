@@ -56,8 +56,7 @@ pub use label_map::LabelMap;
 pub use prompt::{PromptStyle, VisualPrompt};
 pub use train::{
     prompted_accuracy, prompted_accuracy_blackbox, train_prompt_backprop, train_prompt_cmaes,
-    train_prompt_cmaes_ckpt, CkptTrainOutcome, CmaesCheckpoint, FitnessKind, PromptTrainConfig,
-    PromptTrainReport,
+    CmaesCheckpoint, FitnessKind, PromptTrainConfig, PromptTrainReport,
 };
 
 /// Convenience alias for results produced by this crate.

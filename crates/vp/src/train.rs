@@ -126,6 +126,14 @@ pub struct PromptTrainReport {
     /// oracle queries exhausted all retries (0 for backprop and for
     /// fault-free oracles).
     pub penalized_candidates: u64,
+    /// Oracle queries spent by generations a resumed CMA-ES run restored
+    /// from its snapshot instead of re-running (already included in
+    /// `queries`; 0 for a run that was never interrupted). A caller that
+    /// meters live traffic with a decorator created after the restart
+    /// adds this to reconstruct the uninterrupted total.
+    pub carried_queries: u64,
+    /// Fault/retry/cache accounting of those restored generations.
+    pub carried_stats: OracleStats,
 }
 
 fn check_training_set(images: &Tensor, labels: &[usize]) -> Result<()> {
@@ -241,6 +249,8 @@ pub fn train_prompt_backprop(
         losses,
         queries: 0,
         penalized_candidates: 0,
+        carried_queries: 0,
+        carried_stats: OracleStats::default(),
     })
 }
 
@@ -259,49 +269,15 @@ pub struct CmaesCheckpoint<'a> {
     pub name: &'a str,
 }
 
-/// Outcome of a checkpointed CMA-ES run: the ordinary report plus the
-/// accounting carried over from progress made before a crash.
-///
-/// `report.queries` and `report.penalized_candidates` already *include*
-/// the carried amounts; the `carried_*` fields exist so a caller that
-/// meters live traffic separately (e.g. `Bprom::inspect` through a
-/// `CountingOracle` created after the restart) can reconstruct the
-/// uninterrupted totals exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CkptTrainOutcome {
-    /// The training report, with carried accounting folded in.
-    pub report: PromptTrainReport,
-    /// Oracle queries consumed by pre-crash generations (0 when the run
-    /// was never interrupted).
-    pub carried_queries: u64,
-    /// Fault/retry accounting accumulated by pre-crash generations.
-    pub carried_stats: OracleStats,
-}
-
 /// Learns a visual prompt for a black-box model with CMA-ES over the
 /// border parameters, minimizing cross-entropy of the queried confidence
 /// vectors. This is how BPROM prompts the suspicious model.
 ///
-/// # Errors
-///
-/// Returns an error on shape/label mismatches or optimizer misuse.
-pub fn train_prompt_cmaes(
-    oracle: &dyn BlackBoxModel,
-    prompt: &mut VisualPrompt,
-    images: &Tensor,
-    labels: &[usize],
-    map: &LabelMap,
-    cfg: &PromptTrainConfig,
-    rng: &mut Rng,
-) -> Result<PromptTrainReport> {
-    Ok(train_prompt_cmaes_ckpt(oracle, prompt, images, labels, map, cfg, rng, None)?.report)
-}
-
-/// Checkpointed variant of [`train_prompt_cmaes`]: with a
-/// [`CmaesCheckpoint`], every generation ends with an atomic snapshot of
-/// the full optimizer state, and a later call against the same store
-/// resumes from the last completed generation with a bit-identical RNG
-/// stream, losses, and query/fault accounting.
+/// With a [`CmaesCheckpoint`], every generation ends with an atomic
+/// snapshot of the full optimizer state, and a later call against the
+/// same store resumes from the last completed generation with a
+/// bit-identical RNG stream, losses, and query/fault accounting (the
+/// restored share is reported as `carried_queries`/`carried_stats`).
 ///
 /// Resume semantics: the snapshot *overwrites* `rng` with the stream
 /// position recorded at the last completed generation, so the continued
@@ -315,7 +291,7 @@ pub fn train_prompt_cmaes(
 /// Returns an error on shape/label mismatches, optimizer misuse, or a
 /// snapshot that fails to write or validate ([`VpError::Ckpt`]).
 #[allow(clippy::too_many_arguments)]
-pub fn train_prompt_cmaes_ckpt(
+pub fn train_prompt_cmaes(
     oracle: &dyn BlackBoxModel,
     prompt: &mut VisualPrompt,
     images: &Tensor,
@@ -324,7 +300,7 @@ pub fn train_prompt_cmaes_ckpt(
     cfg: &PromptTrainConfig,
     rng: &mut Rng,
     ckpt: Option<CmaesCheckpoint<'_>>,
-) -> Result<CkptTrainOutcome> {
+) -> Result<PromptTrainReport> {
     check_training_set(images, labels)?;
     let n = images.shape()[0];
     let mapped: Vec<usize> = labels
@@ -481,12 +457,10 @@ pub fn train_prompt_cmaes_ckpt(
     if let Some((best, _)) = es.best() {
         prompt.set_flat(best)?;
     }
-    Ok(CkptTrainOutcome {
-        report: PromptTrainReport {
-            losses,
-            queries: carried_queries + (oracle.queries_used() - start_queries),
-            penalized_candidates: penalized.load(Ordering::Relaxed),
-        },
+    Ok(PromptTrainReport {
+        losses,
+        queries: carried_queries + (oracle.queries_used() - start_queries),
+        penalized_candidates: penalized.load(Ordering::Relaxed),
         carried_queries,
         carried_stats,
     })
@@ -661,6 +635,7 @@ mod tests {
             &map,
             &cfg,
             &mut rng,
+            None,
         )
         .unwrap();
         assert!(report.queries > 0);

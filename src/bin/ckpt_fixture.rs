@@ -20,12 +20,12 @@
 
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
-    build_suspicious_zoo_ckpt, evaluate_detector_ckpt, Bprom, BpromConfig, Checkpointer,
-    DetectionReport, ZooConfig,
+    build_suspicious_zoo, evaluate_oracle_zoo, Bprom, BpromConfig, Checkpointer, DetectionReport,
+    Run, Scenario, ZooConfig,
 };
 use bprom_suite::ckpt::{crossings, CRASH_EXIT_CODE};
 use bprom_suite::data::SynthDataset;
-use bprom_suite::faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
+use bprom_suite::faults::FaultProfile;
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::par;
 use bprom_suite::tensor::Rng;
@@ -54,7 +54,8 @@ fn run_pipeline(hostile: bool, ck: Option<&Checkpointer>) -> DetectionReport {
         cmaes_population: 6,
         ..PromptTrainConfig::default()
     };
-    let detector = Bprom::fit_ckpt(&config, &mut rng, ck).expect("fit failed");
+    let mut run = Run::new(&mut rng, ck);
+    let detector = Bprom::fit(&config, run.reborrow()).expect("fit failed");
 
     let mut zoo_cfg = ZooConfig::new(SynthDataset::Cifar10, AttackKind::BadNets);
     zoo_cfg.clean = 1;
@@ -64,25 +65,19 @@ fn run_pipeline(hostile: bool, ck: Option<&Checkpointer>) -> DetectionReport {
         epochs: 2,
         ..TrainConfig::default()
     };
-    let zoo = build_suspicious_zoo_ckpt(&zoo_cfg, &mut rng, ck).expect("zoo failed");
-    let mut report = evaluate_detector_ckpt(
+    let zoo = build_suspicious_zoo(&zoo_cfg, run.reborrow()).expect("zoo failed");
+    let entries = zoo.into_iter().map(|m| m.into_entry(10)).collect();
+    let profile = if hostile {
+        FaultProfile::Hostile
+    } else {
+        FaultProfile::Off
+    };
+    let mut report = evaluate_oracle_zoo(
         &detector,
-        zoo,
-        &mut rng,
-        ck,
-        |detector, oracle, rng, ck, unit| {
-            if hostile {
-                let plan = Stack(vec![
-                    Box::new(Transient { rate: 0.1 }),
-                    Box::new(Quantize { decimals: 3 }),
-                ]);
-                let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-                let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-                detector.inspect_ckpt(&retrying, rng, ck, unit)
-            } else {
-                detector.inspect_ckpt(&oracle, rng, ck, unit)
-            }
-        },
+        Scenario::Downstream,
+        entries,
+        run,
+        |detector, oracle, run| profile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, run)),
     )
     .expect("evaluate failed");
     // Wall-clock is the one legitimately nondeterministic field; zero it
@@ -123,8 +118,7 @@ fn spawn_run(
         .arg(threads.to_string())
         .arg("--out")
         .arg(out)
-        .env_remove("BPROM_CRASH_AFTER")
-        .env_remove("BPROM_CKPT_DIR");
+        .env_remove("BPROM_CRASH_AFTER");
     if hostile {
         cmd.arg("--hostile");
     }

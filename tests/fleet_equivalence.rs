@@ -13,11 +13,9 @@
 
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::audit::{AuditEngine, AuditRequest, DetectorSpec, FleetReport, ShadowZooRegistry};
-use bprom_suite::bprom::{
-    build_suspicious_zoo, Bprom, BpromConfig, CacheConfig, Verdict, ZooConfig,
-};
+use bprom_suite::bprom::{build_suspicious_zoo, Bprom, BpromConfig, CacheConfig, ZooConfig};
 use bprom_suite::data::SynthDataset;
-use bprom_suite::faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
+use bprom_suite::faults::FaultProfile;
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::par;
 use bprom_suite::qcache::CachingOracle;
@@ -84,32 +82,16 @@ fn queue(config: &BpromConfig) -> Vec<AuditRequest> {
     ]
 }
 
-/// The inspection path both sides of the comparison share: plain, or a
-/// hostile retry → faults stack over the sealed cached oracle.
-fn inspect(
-    hostile: bool,
-    detector: &Bprom,
-    oracle: &CachingOracle<QueryOracle>,
-    rng: &mut Rng,
-) -> bprom_suite::bprom::Result<Verdict> {
-    if !hostile {
-        return detector.inspect(oracle, rng);
-    }
-    let plan = Stack(vec![
-        Box::new(Transient { rate: 0.1 }),
-        Box::new(Quantize { decimals: 3 }),
-    ]);
-    let faulty = FaultyOracle::new(oracle, plan, 0xFA17);
-    let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-    detector.inspect(&retrying, rng)
-}
-
 /// N independent single-model runs: no engine, no registry — each audit
 /// seals its own fresh cached oracle and consumes its own freshly seeded
 /// RNG, exactly as a standalone inspection would. The detector fit is
 /// shared only because fitting is deterministic per (config, seed); a
-/// per-run refit would produce bit-identical weights.
-fn independent_runs(config: &BpromConfig, hostile: bool) -> (Vec<AuditRecord>, IncidentReport) {
+/// per-run refit would produce bit-identical weights. Both sides inspect
+/// through `profile` over the sealed cached oracle.
+fn independent_runs(
+    config: &BpromConfig,
+    profile: FaultProfile,
+) -> (Vec<AuditRecord>, IncidentReport) {
     let detector = Bprom::fit(config, &mut Rng::new(FIT_SEED)).unwrap();
     let policy = RulePolicy::default();
     let mut records = Vec::new();
@@ -119,13 +101,10 @@ fn independent_runs(config: &BpromConfig, hostile: bool) -> (Vec<AuditRecord>, I
             QueryOracle::new(request.model, request.num_classes),
             config.cache,
         );
-        let verdict = inspect(
-            hostile,
-            &detector,
-            &oracle,
-            &mut Rng::new(request.inspect_seed),
-        )
-        .unwrap();
+        let rng = &mut Rng::new(request.inspect_seed);
+        let verdict = profile
+            .wrap(&oracle, 0xFA17, |o| detector.inspect(o, rng))
+            .unwrap();
         records.push(AuditRecord {
             model: fingerprint,
             regime: config.regime.as_wire(),
@@ -140,11 +119,11 @@ fn independent_runs(config: &BpromConfig, hostile: bool) -> (Vec<AuditRecord>, I
 
 /// One fleet run through the engine (fresh in-memory registry, cache
 /// sharing off) under the currently installed thread count.
-fn fleet_run(config: &BpromConfig, hostile: bool) -> FleetReport {
+fn fleet_run(config: &BpromConfig, profile: FaultProfile) -> FleetReport {
     let engine = AuditEngine::new(FLEET_LABEL, ShadowZooRegistry::in_memory());
     engine
         .run_with(queue(config), |detector, oracle, rng| {
-            inspect(hostile, detector, oracle, rng)
+            profile.wrap(oracle, 0xFA17, |o| detector.inspect(o, rng))
         })
         .unwrap()
 }
@@ -176,8 +155,8 @@ fn assert_fleet_matches(
 #[test]
 fn fleet_matches_independent_runs() {
     let config = tiny_config(CacheConfig::unbounded());
-    let (records, incident) = independent_runs(&config, false);
-    let fleet = fleet_run(&config, false);
+    let (records, incident) = independent_runs(&config, FaultProfile::Off);
+    let fleet = fleet_run(&config, FaultProfile::Off);
     assert_fleet_matches(&fleet, &records, &incident, "tier-1 leg");
 
     // The repeat audit correlated: two audits of one fingerprint.
@@ -193,21 +172,21 @@ fn fleet_matches_independent_runs() {
 #[ignore = "tier-2 fleet matrix (8 full runs); CI runs it via -- --ignored"]
 fn full_matrix_is_byte_identical() {
     let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    for hostile in [false, true] {
+    for profile in [FaultProfile::Off, FaultProfile::Hostile] {
         for cache in [CacheConfig::off(), CacheConfig::unbounded()] {
             let config = tiny_config(cache);
-            let (records, incident) = independent_runs(&config, hostile);
+            let (records, incident) = independent_runs(&config, profile);
             for threads in [1usize, 4] {
                 par::set_thread_count(threads);
-                let fleet = fleet_run(&config, hostile);
+                let fleet = fleet_run(&config, profile);
                 par::set_thread_count(0);
                 assert_fleet_matches(
                     &fleet,
                     &records,
                     &incident,
-                    &format!("hostile={hostile} cache={cache:?} threads={threads}"),
+                    &format!("{profile:?} cache={cache:?} threads={threads}"),
                 );
-                if hostile {
+                if profile == FaultProfile::Hostile {
                     let faults: u64 = fleet
                         .outcomes
                         .iter()

@@ -20,13 +20,14 @@
 //! is already report-invariant.
 
 use bprom_suite::attacks::AttackKind;
-use bprom_suite::bprom::{Bprom, BpromConfig, CacheConfig, DetectionReport, OracleRegime};
-use bprom_suite::data::SynthDataset;
-use bprom_suite::faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
-use bprom_suite::nn::TrainConfig;
-use bprom_suite::scenarios::{
-    build_backbone_zoo, evaluate_backbone_zoo_via, BackboneScenarioConfig,
+use bprom_suite::bprom::{
+    evaluate_oracle_zoo, Bprom, BpromConfig, CacheConfig, DetectionReport, OracleRegime, Scenario,
+    ZooEntry,
 };
+use bprom_suite::data::SynthDataset;
+use bprom_suite::faults::FaultProfile;
+use bprom_suite::nn::TrainConfig;
+use bprom_suite::scenarios::{build_backbone_zoo, BackboneScenarioConfig};
 use bprom_suite::tensor::Rng;
 use bprom_suite::vp::PromptTrainConfig;
 use std::path::PathBuf;
@@ -78,17 +79,17 @@ fn golden_report(seed: u64) -> DetectionReport {
     };
     let zoo = build_backbone_zoo(&zoo_cfg, &mut rng).unwrap();
 
-    let mut report =
-        evaluate_backbone_zoo_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, rng)
-        })
-        .unwrap();
+    let entries = zoo.into_iter().map(ZooEntry::from).collect();
+    let mut report = evaluate_oracle_zoo(
+        &detector,
+        Scenario::Backbone,
+        entries,
+        &mut rng,
+        |detector, oracle, run| {
+            FaultProfile::Hostile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, run))
+        },
+    )
+    .unwrap();
     report.mean_inspect_ms = 0.0;
     report
 }

@@ -20,11 +20,11 @@
 
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
-    build_suspicious_zoo, evaluate_detector_via, Bprom, BpromConfig, CacheConfig, DetectionReport,
-    OracleRegime, ZooConfig,
+    build_suspicious_zoo, evaluate_oracle_zoo, Bprom, BpromConfig, CacheConfig, DetectionReport,
+    OracleRegime, Scenario, ZooConfig,
 };
 use bprom_suite::data::SynthDataset;
-use bprom_suite::faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
+use bprom_suite::faults::FaultProfile;
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::tensor::Rng;
 use bprom_suite::vp::PromptTrainConfig;
@@ -82,15 +82,16 @@ fn golden_report(seed: u64) -> DetectionReport {
     blend.train = train;
     zoo.extend(build_suspicious_zoo(&blend, &mut rng).unwrap());
 
-    let mut report = evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-        let plan = Stack(vec![
-            Box::new(Transient { rate: 0.1 }),
-            Box::new(Quantize { decimals: 3 }),
-        ]);
-        let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-        let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-        detector.inspect(&retrying, rng)
-    })
+    let entries = zoo.into_iter().map(|m| m.into_entry(10)).collect();
+    let mut report = evaluate_oracle_zoo(
+        &detector,
+        Scenario::Downstream,
+        entries,
+        &mut rng,
+        |detector, oracle, run| {
+            FaultProfile::Hostile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, run))
+        },
+    )
     .unwrap();
     report.mean_inspect_ms = 0.0;
     report

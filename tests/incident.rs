@@ -23,8 +23,8 @@
 
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
-    build_suspicious_zoo, evaluate_detector_via, Bprom, BpromConfig, CacheConfig, DetectionReport,
-    OracleRegime, ZooConfig,
+    build_suspicious_zoo, evaluate_oracle_zoo, Bprom, BpromConfig, CacheConfig, DetectionReport,
+    OracleRegime, Scenario, ZooConfig,
 };
 use bprom_suite::data::SynthDataset;
 use bprom_suite::faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
@@ -33,7 +33,6 @@ use bprom_suite::qcache::CachingOracle;
 use bprom_suite::tensor::Rng;
 use bprom_suite::verdict::{validate_incident, Action, IncidentReport, Mode, RuleId, RulePolicy};
 use bprom_suite::vp::PromptTrainConfig;
-use std::cell::Cell;
 use std::path::PathBuf;
 
 fn fixture_path(mode: Mode, seed: u64) -> PathBuf {
@@ -116,33 +115,37 @@ fn fixture_report(seed: u64) -> DetectionReport {
     };
     zoo.extend(build_suspicious_zoo(&bad_cfg, &mut rng).unwrap());
 
-    let audit_index = Cell::new(0usize);
-    evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-        let i = audit_index.get();
-        audit_index.set(i + 1);
-        if i == 0 {
-            // Zoo order is clean-first: the clean model's provider is
-            // well behaved.
-            detector.inspect(&oracle, rng)
-        } else {
-            // Bounded-LRU eviction and hit tallies are arrival-ordered
-            // (the qcache equivalence suite scrubs them across its
-            // matrix for the same reason), so the hostile leg pins a
-            // single worker to keep the pinned evidence bytes
-            // schedule-independent at any BPROM_THREADS setting.
-            bprom_suite::par::set_thread_count(1);
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.25 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            let memo = CachingOracle::new(retrying, CacheConfig::lru(64));
-            let verdict = detector.inspect(&memo, rng);
-            bprom_suite::par::set_thread_count(0);
-            verdict
-        }
-    })
+    let entries = zoo.into_iter().map(|m| m.into_entry(10)).collect();
+    evaluate_oracle_zoo(
+        &detector,
+        Scenario::Downstream,
+        entries,
+        &mut rng,
+        |detector, oracle, run| {
+            if run.unit == "0" {
+                // Zoo order is clean-first: the clean model's provider is
+                // well behaved.
+                detector.inspect(&oracle, run)
+            } else {
+                // Bounded-LRU eviction and hit tallies are arrival-ordered
+                // (the qcache equivalence suite scrubs them across its
+                // matrix for the same reason), so the hostile leg pins a
+                // single worker to keep the pinned evidence bytes
+                // schedule-independent at any BPROM_THREADS setting.
+                bprom_suite::par::set_thread_count(1);
+                let plan = Stack(vec![
+                    Box::new(Transient { rate: 0.25 }),
+                    Box::new(Quantize { decimals: 3 }),
+                ]);
+                let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
+                let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
+                let memo = CachingOracle::new(retrying, CacheConfig::lru(64));
+                let verdict = detector.inspect(&memo, run);
+                bprom_suite::par::set_thread_count(0);
+                verdict
+            }
+        },
+    )
     .unwrap()
 }
 

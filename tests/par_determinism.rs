@@ -7,22 +7,16 @@
 
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
-    build_suspicious_zoo, evaluate_detector, evaluate_detector_via, Bprom, BpromConfig,
-    DetectionReport, OracleRegime, ZooConfig,
+    build_suspicious_zoo, evaluate_oracle_zoo, Bprom, BpromConfig, DetectionReport, OracleRegime,
+    Scenario, ZooConfig, ZooEntry,
 };
 use bprom_suite::data::SynthDataset;
 use bprom_suite::defenses::trigger_inversion::{invert_trigger, TriggerInversionConfig};
-use bprom_suite::faults::{
-    AdaptiveConfig, AdaptiveOracle, FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack,
-    Transient,
-};
+use bprom_suite::faults::{AdaptiveConfig, AdaptiveOracle, FaultProfile};
 use bprom_suite::nn::models::{mlp, ModelSpec};
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::par;
-use bprom_suite::scenarios::{
-    build_backbone_zoo, evaluate_backbone_zoo, evaluate_backbone_zoo_via, BackboneScenarioConfig,
-    PromptedBackbone,
-};
+use bprom_suite::scenarios::{build_backbone_zoo, BackboneScenarioConfig, PromptedBackbone};
 use bprom_suite::tensor::{Rng, Tensor};
 use bprom_suite::vp::{
     BlackBoxModel, LabelMap, PromptStyle, PromptTrainConfig, QueryOracle, VisualPrompt,
@@ -99,35 +93,31 @@ fn run_regime_pipeline(regime: OracleRegime, hostility: Hostility) -> DetectionR
         ..TrainConfig::default()
     };
     let zoo = build_suspicious_zoo(&zoo_cfg, &mut rng).unwrap();
-    let mut report = match hostility {
-        Hostility::None => evaluate_detector(&detector, zoo, &mut rng).unwrap(),
-        // The hostile stack: 10 % transient drops absorbed by bounded
-        // retries, responses quantized to 3 decimals. Fault draws are
-        // keyed on query content (never arrival order), so this is as
-        // schedule-invariant as the fault-free pipeline.
-        Hostility::Faulty => {
-            evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-                let plan = Stack(vec![
-                    Box::new(Transient { rate: 0.1 }),
-                    Box::new(Quantize { decimals: 3 }),
-                ]);
-                let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-                let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-                detector.inspect(&retrying, rng)
-            })
-            .unwrap()
-        }
-        // The adaptive attacker's probe tests and fabricated answers are
-        // pure functions of batch content, so evasion decisions cannot
-        // depend on worker scheduling either.
-        Hostility::Adaptive => {
-            evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
+    let entries = zoo.into_iter().map(|m| m.into_entry(10)).collect();
+    let mut report = evaluate_oracle_zoo(
+        &detector,
+        Scenario::Downstream,
+        entries,
+        &mut rng,
+        |detector, oracle, run| match hostility {
+            Hostility::None => detector.inspect(&oracle, run),
+            // The hostile stack: 10 % transient drops absorbed by bounded
+            // retries, responses quantized to 3 decimals. Fault draws are
+            // keyed on query content (never arrival order), so this is as
+            // schedule-invariant as the fault-free pipeline.
+            Hostility::Faulty => {
+                FaultProfile::Hostile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, run))
+            }
+            // The adaptive attacker's probe tests and fabricated answers
+            // are pure functions of batch content, so evasion decisions
+            // cannot depend on worker scheduling either.
+            Hostility::Adaptive => {
                 let adaptive = AdaptiveOracle::new(&oracle, AdaptiveConfig::default(), 0xADA9);
-                detector.inspect(&adaptive, rng)
-            })
-            .unwrap()
-        }
-    };
+                detector.inspect(&adaptive, run)
+            }
+        },
+    )
+    .unwrap();
     // Wall-clock is the one legitimately nondeterministic field; zero it
     // so the comparison below covers everything else byte-for-byte.
     report.mean_inspect_ms = 0.0;
@@ -230,7 +220,7 @@ fn label_only_reports_identical_across_thread_counts() {
 /// optionally behind the hostile retry → fault stack. The regime comes
 /// from the environment, so the CI `regimes` job re-runs these legs
 /// under `label_only` unchanged.
-fn run_backbone_pipeline(hostile: bool) -> DetectionReport {
+fn run_backbone_pipeline(profile: FaultProfile) -> DetectionReport {
     let mut rng = Rng::new(42);
     let mut config = BpromConfig::fast(SynthDataset::Cifar10, SynthDataset::Stl10);
     config.regime = OracleRegime::from_env_or(OracleRegime::FullScores);
@@ -264,20 +254,15 @@ fn run_backbone_pipeline(hostile: bool) -> DetectionReport {
         ..PromptTrainConfig::default()
     };
     let zoo = build_backbone_zoo(&zoo_cfg, &mut rng).unwrap();
-    let mut report = if hostile {
-        evaluate_backbone_zoo_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, rng)
-        })
-        .unwrap()
-    } else {
-        evaluate_backbone_zoo(&detector, zoo, &mut rng).unwrap()
-    };
+    let entries = zoo.into_iter().map(ZooEntry::from).collect();
+    let mut report = evaluate_oracle_zoo(
+        &detector,
+        Scenario::Backbone,
+        entries,
+        &mut rng,
+        |detector, oracle, run| profile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, run)),
+    )
+    .unwrap();
     report.mean_inspect_ms = 0.0;
     report
 }
@@ -291,9 +276,9 @@ fn run_backbone_pipeline(hostile: bool) -> DetectionReport {
 fn backbone_reports_identical_across_thread_counts() {
     let _guard = THREAD_KNOB.lock().unwrap();
     par::set_thread_count(1);
-    let sequential = run_backbone_pipeline(false);
+    let sequential = run_backbone_pipeline(FaultProfile::Off);
     par::set_thread_count(4);
-    let parallel = run_backbone_pipeline(false);
+    let parallel = run_backbone_pipeline(FaultProfile::Off);
     par::set_thread_count(0);
 
     assert!(parallel.total_queries > 0);
@@ -319,21 +304,21 @@ fn backbone_reports_identical_across_thread_counts() {
 #[ignore = "tier-2 backbone matrix (4 full runs); CI backbone job runs it via -- --ignored"]
 fn backbone_matrix_reports_identical_across_thread_counts() {
     let _guard = THREAD_KNOB.lock().unwrap();
-    for hostile in [false, true] {
+    for profile in [FaultProfile::Off, FaultProfile::Hostile] {
         par::set_thread_count(1);
-        let sequential = run_backbone_pipeline(hostile);
+        let sequential = run_backbone_pipeline(profile);
         par::set_thread_count(4);
-        let parallel = run_backbone_pipeline(hostile);
+        let parallel = run_backbone_pipeline(profile);
         par::set_thread_count(0);
 
-        if hostile {
+        if profile == FaultProfile::Hostile {
             assert!(parallel.total_faults > 0);
             assert!(parallel.total_retries > 0);
         }
         assert_eq!(
             sequential.to_json().unwrap(),
             parallel.to_json().unwrap(),
-            "thread count leaked into the hostile={hostile} backbone report"
+            "thread count leaked into the {profile:?} backbone report"
         );
     }
 }

@@ -18,7 +18,7 @@ use bprom_nn::TrainConfig;
 use bprom_qcache::{CacheConfig, CachingOracle};
 use bprom_tensor::{Rng, Tensor};
 use bprom_vp::{
-    prompted_accuracy_blackbox, train_prompt_cmaes_ckpt, BlackBoxModel, CmaesCheckpoint, LabelMap,
+    prompted_accuracy_blackbox, train_prompt_cmaes, BlackBoxModel, CmaesCheckpoint, LabelMap,
     PromptTrainConfig, QueryOracle, VisualPrompt,
 };
 use std::sync::{Mutex, MutexGuard};
@@ -58,7 +58,7 @@ fn prompt_search(
         ..PromptTrainConfig::default()
     };
     let t0 = Instant::now();
-    train_prompt_cmaes_ckpt(
+    train_prompt_cmaes(
         oracle,
         &mut prompt,
         &target.images,

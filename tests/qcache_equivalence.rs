@@ -15,21 +15,19 @@
 
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
-    build_suspicious_zoo, evaluate_detector, evaluate_detector_via, Bprom, BpromConfig,
-    CacheConfig, DetectionReport, OracleRegime, Verdict, ZooConfig,
+    build_suspicious_zoo, evaluate_oracle_zoo, Bprom, BpromConfig, CacheConfig, DetectionReport,
+    OracleRegime, Scenario, Verdict, ZooConfig, ZooEntry,
 };
 use bprom_suite::data::SynthDataset;
 use bprom_suite::faults::{
-    AdaptiveConfig, AdaptiveOracle, FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack,
+    AdaptiveConfig, AdaptiveOracle, FaultProfile, FaultyOracle, RetryPolicy, RetryingOracle,
     Transient,
 };
 use bprom_suite::nn::models::{mlp, ModelSpec};
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::par;
 use bprom_suite::qcache::CachingOracle;
-use bprom_suite::scenarios::{
-    build_backbone_zoo, evaluate_backbone_zoo, evaluate_backbone_zoo_via, BackboneScenarioConfig,
-};
+use bprom_suite::scenarios::{build_backbone_zoo, BackboneScenarioConfig};
 use bprom_suite::tensor::{Rng, Tensor};
 use bprom_suite::vp::{BlackBoxModel, PromptStyle, PromptTrainConfig, QueryOracle};
 use std::sync::Mutex;
@@ -272,15 +270,9 @@ fn pipeline_verdicts_are_mode_invariant() {
 
         // Hostile leg: retry → faults stacked above a fresh cache.
         let cached = CachingOracle::new(QueryOracle::new(model, num_classes), mode);
-        let verdict = {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&cached, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, &mut Rng::new(7)).unwrap()
-        };
+        let verdict = FaultProfile::Hostile.wrap(&cached, 0xFA17, |o| {
+            detector.inspect(o, &mut Rng::new(7)).unwrap()
+        });
         hostile.push(verdict);
         model = cached.into_inner().into_inner();
     }
@@ -315,11 +307,11 @@ fn pipeline_verdicts_are_mode_invariant() {
 
 /// One identically-seeded fit + zoo + evaluate run under the given cache
 /// policy and the currently installed thread count.
-fn run_pipeline(hostile: bool, cache: CacheConfig) -> DetectionReport {
+fn run_pipeline(profile: FaultProfile, cache: CacheConfig) -> DetectionReport {
     run_regime_pipeline(
         OracleRegime::from_env_or(OracleRegime::FullScores),
         false,
-        hostile,
+        profile,
         cache,
     )
 }
@@ -329,7 +321,7 @@ fn run_pipeline(hostile: bool, cache: CacheConfig) -> DetectionReport {
 fn run_regime_pipeline(
     regime: OracleRegime,
     adaptive: bool,
-    hostile: bool,
+    profile: FaultProfile,
     cache: CacheConfig,
 ) -> DetectionReport {
     let mut rng = Rng::new(42);
@@ -353,29 +345,25 @@ fn run_regime_pipeline(
         ..TrainConfig::default()
     };
     let zoo = build_suspicious_zoo(&zoo_cfg, &mut rng).unwrap();
-    let mut report = if adaptive {
-        // Adaptive attacker above the detector's own cache: evasion
-        // decisions are pure functions of batch content, so they cannot
-        // observe (or leak) the cache mode.
-        evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let adaptive = AdaptiveOracle::new(&oracle, AdaptiveConfig::default(), 0xADA9);
-            detector.inspect(&adaptive, rng)
-        })
-        .unwrap()
-    } else if hostile {
-        evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, rng)
-        })
-        .unwrap()
-    } else {
-        evaluate_detector(&detector, zoo, &mut rng).unwrap()
-    };
+    let entries = zoo.into_iter().map(|m| m.into_entry(10)).collect();
+    let mut report = evaluate_oracle_zoo(
+        &detector,
+        Scenario::Downstream,
+        entries,
+        &mut rng,
+        |detector, oracle, run| {
+            if adaptive {
+                // Adaptive attacker above the detector's own cache:
+                // evasion decisions are pure functions of batch content,
+                // so they cannot observe (or leak) the cache mode.
+                let adaptive = AdaptiveOracle::new(&oracle, AdaptiveConfig::default(), 0xADA9);
+                detector.inspect(&adaptive, run)
+            } else {
+                profile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, run))
+            }
+        },
+    )
+    .unwrap();
     report.mean_inspect_ms = 0.0;
     report
 }
@@ -408,8 +396,8 @@ fn scrubbed_json(report: &DetectionReport) -> String {
 fn regime_reports_are_cache_mode_invariant() {
     let _guard = THREAD_KNOB.lock().unwrap();
     for regime in [OracleRegime::TopK(3), OracleRegime::LabelOnly] {
-        let off = run_regime_pipeline(regime, false, false, CacheConfig::off());
-        let mem = run_regime_pipeline(regime, false, false, CacheConfig::unbounded());
+        let off = run_regime_pipeline(regime, false, FaultProfile::Off, CacheConfig::off());
+        let mem = run_regime_pipeline(regime, false, FaultProfile::Off, CacheConfig::unbounded());
         assert_eq!(
             scrubbed_json(&mem),
             scrubbed_json(&off),
@@ -451,7 +439,7 @@ fn regime_matrix_reports_are_byte_identical() {
                 runs.push((
                     threads,
                     mode,
-                    run_regime_pipeline(regime, adaptive, false, mode),
+                    run_regime_pipeline(regime, adaptive, FaultProfile::Off, mode),
                 ));
             }
         }
@@ -482,7 +470,7 @@ fn regime_matrix_reports_are_byte_identical() {
 /// policy: the detector's cache sits between its probes and the sealed
 /// `PromptedBackbone` composite, so cache transparency must hold through
 /// the prompt-composition and label-translation layers too.
-fn run_backbone_pipeline(hostile: bool, cache: CacheConfig) -> DetectionReport {
+fn run_backbone_pipeline(profile: FaultProfile, cache: CacheConfig) -> DetectionReport {
     let mut rng = Rng::new(42);
     let mut config = tiny_config();
     config.regime = OracleRegime::from_env_or(OracleRegime::FullScores);
@@ -503,20 +491,15 @@ fn run_backbone_pipeline(hostile: bool, cache: CacheConfig) -> DetectionReport {
         ..PromptTrainConfig::default()
     };
     let zoo = build_backbone_zoo(&zoo_cfg, &mut rng).unwrap();
-    let mut report = if hostile {
-        evaluate_backbone_zoo_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, rng)
-        })
-        .unwrap()
-    } else {
-        evaluate_backbone_zoo(&detector, zoo, &mut rng).unwrap()
-    };
+    let entries = zoo.into_iter().map(ZooEntry::from).collect();
+    let mut report = evaluate_oracle_zoo(
+        &detector,
+        Scenario::Backbone,
+        entries,
+        &mut rng,
+        |detector, oracle, run| profile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, run)),
+    )
+    .unwrap();
     report.mean_inspect_ms = 0.0;
     report
 }
@@ -528,8 +511,8 @@ fn run_backbone_pipeline(hostile: bool, cache: CacheConfig) -> DetectionReport {
 #[test]
 fn backbone_reports_are_cache_mode_invariant() {
     let _guard = THREAD_KNOB.lock().unwrap();
-    let off = run_backbone_pipeline(false, CacheConfig::off());
-    let mem = run_backbone_pipeline(false, CacheConfig::unbounded());
+    let off = run_backbone_pipeline(FaultProfile::Off, CacheConfig::off());
+    let mem = run_backbone_pipeline(FaultProfile::Off, CacheConfig::unbounded());
     assert_eq!(
         scrubbed_json(&mem),
         scrubbed_json(&off),
@@ -556,12 +539,12 @@ fn backbone_reports_are_cache_mode_invariant() {
 #[ignore = "tier-2 backbone matrix (8 full runs); CI backbone job runs it via -- --ignored"]
 fn backbone_matrix_reports_are_byte_identical() {
     let _guard = THREAD_KNOB.lock().unwrap();
-    for hostile in [false, true] {
+    for profile in [FaultProfile::Off, FaultProfile::Hostile] {
         let mut runs: Vec<(usize, CacheConfig, DetectionReport)> = Vec::new();
         for threads in [1usize, 4] {
             par::set_thread_count(threads);
             for mode in [CacheConfig::off(), CacheConfig::unbounded()] {
-                runs.push((threads, mode, run_backbone_pipeline(hostile, mode)));
+                runs.push((threads, mode, run_backbone_pipeline(profile, mode)));
             }
         }
         par::set_thread_count(0);
@@ -571,11 +554,11 @@ fn backbone_matrix_reports_are_byte_identical() {
             assert_eq!(
                 scrubbed_json(report),
                 baseline,
-                "backbone hostile={hostile} threads={threads} {mode:?}: report \
+                "backbone {profile:?} threads={threads} {mode:?}: report \
                  drifted from the threads=1 cache-off baseline"
             );
         }
-        if hostile {
+        if profile == FaultProfile::Hostile {
             assert!(runs[0].2.total_faults > 0);
         }
         for (_, mode, report) in &runs {
@@ -585,7 +568,7 @@ fn backbone_matrix_reports_are_byte_identical() {
                 assert_eq!(
                     report.total_cache_hits + report.total_cache_misses,
                     runs[0].2.total_queries,
-                    "backbone hostile={hostile} {mode:?}: cache accounting must \
+                    "backbone {profile:?} {mode:?}: cache accounting must \
                      cover the uncached spend exactly"
                 );
             }
@@ -600,7 +583,7 @@ fn backbone_matrix_reports_are_byte_identical() {
 #[ignore = "tier-2 pipeline matrix (12 full runs); CI runs it via -- --ignored"]
 fn full_matrix_reports_are_byte_identical() {
     let _guard = THREAD_KNOB.lock().unwrap();
-    for hostile in [false, true] {
+    for profile in [FaultProfile::Off, FaultProfile::Hostile] {
         let mut runs: Vec<(usize, CacheConfig, DetectionReport)> = Vec::new();
         for threads in [1usize, 4] {
             par::set_thread_count(threads);
@@ -609,7 +592,7 @@ fn full_matrix_reports_are_byte_identical() {
                 CacheConfig::unbounded(),
                 CacheConfig::lru(4096),
             ] {
-                runs.push((threads, mode, run_pipeline(hostile, mode)));
+                runs.push((threads, mode, run_pipeline(profile, mode)));
             }
         }
         par::set_thread_count(0);
@@ -619,14 +602,14 @@ fn full_matrix_reports_are_byte_identical() {
             assert_eq!(
                 scrubbed_json(report),
                 baseline,
-                "hostile={hostile} threads={threads} {mode:?}: report drifted from \
+                "{profile:?} threads={threads} {mode:?}: report drifted from \
                  the threads=1 cache-off baseline"
             );
         }
 
         let off = &runs[0].2;
         assert!(off.total_queries > 0);
-        if hostile {
+        if profile == FaultProfile::Hostile {
             assert!(off.total_faults > 0);
             assert!(off.total_retries > 0);
         }
@@ -637,7 +620,7 @@ fn full_matrix_reports_are_byte_identical() {
                 assert_eq!(
                     report.total_cache_hits + report.total_cache_misses,
                     off.total_queries,
-                    "hostile={hostile} {mode:?}: cache accounting must cover the \
+                    "{profile:?} {mode:?}: cache accounting must cover the \
                      uncached spend exactly"
                 );
                 assert!(report.total_cache_hits > 0);
