@@ -123,35 +123,6 @@ pub fn feature_from_confidences(probs: &Tensor, probe_labels: &[usize]) -> Resul
     Ok(feature)
 }
 
-/// Extracts the meta feature of a *white-box* (shadow) model: canonicalized
-/// prompted confidence vectors `f(x_Q^1) || ... || f(x_Q^q)` plus the
-/// prompted-accuracy feature.
-///
-/// # Errors
-///
-/// Propagates prompting/forward failures.
-pub fn probe_features_whitebox(
-    model: &mut Sequential,
-    prompt: &VisualPrompt,
-    probes: &ProbeSet,
-) -> Result<Vec<f32>> {
-    probe_features_whitebox_regime(model, prompt, probes, OracleRegime::FullScores)
-}
-
-/// Extracts the meta feature of a *black-box* (suspicious) model through
-/// queries only.
-///
-/// # Errors
-///
-/// Propagates prompting/query failures.
-pub fn probe_features_blackbox(
-    oracle: &dyn BlackBoxModel,
-    prompt: &VisualPrompt,
-    probes: &ProbeSet,
-) -> Result<Vec<f32>> {
-    probe_features_blackbox_regime(oracle, prompt, probes, OracleRegime::FullScores)
-}
-
 /// The regime-aware meta feature for a `[q, k]` probe confidence matrix:
 /// degrades `probs` to the regime's wire shape first (idempotent, so a
 /// matrix an oracle already served under the regime passes through
@@ -182,9 +153,12 @@ pub fn regime_feature(
     }
 }
 
-/// [`probe_features_whitebox`] under a declared [`OracleRegime`]: the
-/// shadow's full softmax is degraded to the regime's wire shape before
-/// feature extraction, matching what a black-box endpoint would serve.
+/// Extracts the meta feature of a *white-box* (shadow) model under a
+/// declared [`OracleRegime`]: the prompted probe confidences, degraded to
+/// the regime's wire shape before feature extraction, matching what a
+/// black-box endpoint would serve. Under [`OracleRegime::FullScores`]
+/// that is the canonicalized `f(x_Q^1) || ... || f(x_Q^q)` plus the
+/// prompted-accuracy feature.
 ///
 /// # Errors
 ///
@@ -201,9 +175,10 @@ pub fn probe_features_whitebox_regime(
     regime_feature(regime, probs, &probes.labels)
 }
 
-/// [`probe_features_blackbox`] under a declared [`OracleRegime`]. The
-/// degrade step is idempotent, so this is correct whether the oracle
-/// natively enforces the regime or serves full scores.
+/// Extracts the meta feature of a *black-box* (suspicious) model through
+/// queries only, under a declared [`OracleRegime`]. The degrade step is
+/// idempotent, so this is correct whether the oracle natively enforces
+/// the regime or serves full scores.
 ///
 /// # Errors
 ///
@@ -312,9 +287,10 @@ mod tests {
         let prompt = VisualPrompt::random(3, 16, 4, &mut rng).unwrap();
         let spec = ModelSpec::new(3, 16, 10);
         let mut model = mlp(&spec, &mut rng).unwrap();
-        let white = probe_features_whitebox(&mut model, &prompt, &probes).unwrap();
+        let full = OracleRegime::FullScores;
+        let white = probe_features_whitebox_regime(&mut model, &prompt, &probes, full).unwrap();
         let oracle = QueryOracle::new(model, 10);
-        let black = probe_features_blackbox(&oracle, &prompt, &probes).unwrap();
+        let black = probe_features_blackbox_regime(&oracle, &prompt, &probes, full).unwrap();
         assert_eq!(white.len(), 5 * 10 + 10 + 2);
         for (w, b) in white.iter().zip(&black) {
             assert!((w - b).abs() < 1e-6);

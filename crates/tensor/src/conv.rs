@@ -21,10 +21,13 @@
 //! measured faster, with the same accumulation order. Both forward paths
 //! store through an [`Epilogue`] (bias, eval-mode batch norm, ReLU).
 //! Backward-input likewise runs the direct kernel of [`crate::direct_bwd`]
-//! for small input-channel counts.
+//! for small input-channel counts, and backward-weight the direct kernel
+//! of [`crate::direct_bwd_weight`] for small output-channel counts, with
+//! the GEMM's flat reduction order.
 
 use crate::direct;
 use crate::direct_bwd;
+use crate::direct_bwd_weight;
 use crate::kernels::{gemm_with_b, BPacker, Isa, KC_MAX, NR};
 use crate::pack::Trans;
 use crate::workspace::with_scratch;
@@ -551,23 +554,33 @@ fn grad_to_rows_into(grad_output: &Tensor, d: &ConvDims, rows: &mut [f32]) {
     }
 }
 
-/// Writes `input` `[n, c, h, w]` zero-padded into a scratch buffer of
-/// `[n, c, h+2p, phases·⌈(w+2p)/phases⌉]`, every element of it (the
-/// slice-borne twin of [`pad2d`], so the conv drivers can stage padding in
-/// reused scratch instead of a fresh tensor). With `phases == 1` that is
-/// the plain padded layout; above 1 every padded row is stored
-/// phase-split, padded column `x` at `(x % phases)·⌈(w+2p)/phases⌉ +
-/// x / phases` — the strided-source layout of [`crate::direct`].
-fn pad_into(input: &Tensor, pad: usize, phases: usize, dst: &mut [f32]) {
-    let (h, w) = (input.shape()[2], input.shape()[3]);
+/// Writes `planes` (`h × w` planes, e.g. an `[n, c, h, w]` batch or one
+/// sample) zero-padded into a scratch buffer of `[planes, h+2p,
+/// phases·⌈(w+2p)/phases⌉]`, every element of it (the slice-borne twin of
+/// [`pad2d`], so the conv drivers can stage padding in reused scratch
+/// instead of a fresh tensor). With `phases == 1` that is the plain padded
+/// layout; above 1 every padded row is stored phase-split, padded column
+/// `x` at `(x % phases)·⌈(w+2p)/phases⌉ + x / phases` — the
+/// strided-source layout of [`crate::direct`].
+pub(crate) fn pad_into(
+    planes: &[f32],
+    (h, w): (usize, usize),
+    pad: usize,
+    phases: usize,
+    dst: &mut [f32],
+) {
     let phase = (w + 2 * pad).div_ceil(phases);
     let row = phases * phase;
-    // Destination column of each input column within a padded row.
-    let cols: Vec<usize> = (pad..pad + w)
-        .map(|x| x % phases * phase + x / phases)
-        .collect();
-    let planes = dst.chunks_exact_mut((h + 2 * pad) * row);
-    for (plane, src) in planes.zip(input.data().chunks_exact(h * w)) {
+    // Destination column of each input column within a split row.
+    let cols: Vec<usize> = if phases == 1 {
+        Vec::new()
+    } else {
+        (pad..pad + w)
+            .map(|x| x % phases * phase + x / phases)
+            .collect()
+    };
+    let dst_planes = dst.chunks_exact_mut((h + 2 * pad) * row);
+    for (plane, src) in dst_planes.zip(planes.chunks_exact(h * w)) {
         let (top, rest) = plane.split_at_mut(pad * row);
         let (body, bottom) = rest.split_at_mut(h * row);
         top.fill(0.0);
@@ -585,6 +598,11 @@ fn pad_into(input: &Tensor, pad: usize, phases: usize, dst: &mut [f32]) {
             }
         }
     }
+}
+
+/// The spatial dims `(h, w)` of an NCHW tensor.
+fn in_hw(input: &Tensor) -> (usize, usize) {
+    (input.shape()[2], input.shape()[3])
 }
 
 /// Runs `run(n0, out_chunk)` over the batch, `out` holding `sample_out`
@@ -717,7 +735,7 @@ fn conv_direct(
         run(input.data(), out);
     } else {
         with_scratch(d.n * sample_in, |src| {
-            pad_into(input, padding, stride, src);
+            pad_into(input.data(), in_hw(input), padding, stride, src);
             run(src, out);
         });
     }
@@ -766,7 +784,7 @@ fn conv_gemm(
         run(input.data(), out);
     } else {
         with_scratch(d.n * d.c * d.hp * d.wp, |padded| {
-            pad_into(input, padding, 1, padded);
+            pad_into(input.data(), in_hw(input), padding, 1, padded);
             run(padded, out);
         });
     }
@@ -776,10 +794,14 @@ fn conv_gemm(
 ///
 /// `grad_output` is `[n, o, oh, ow]`; returns `[o, c, kh, kw]`.
 ///
-/// One `[o, n·oh·ow] × [k, n·oh·ow]ᵀ` GEMM over the whole-batch column
-/// matrix. Each weight gradient is reduced over the flat `n·oh·ow` axis
-/// in one fixed order (thread-count invariant), which differs from the
-/// pre-kernel per-sample partial sums by rounding only — see
+/// Two kernels compute it: the direct small-channel kernel (module
+/// `direct_bwd_weight`) where its measured shape/ISA rule
+/// (`direct_bwd_weight::select`) picks it, and otherwise one
+/// `[o, n·oh·ow] × [k, n·oh·ow]ᵀ` GEMM over the virtual transposed im2col
+/// ([`ColTPacker`]). Both reduce each weight gradient over the flat
+/// `n·oh·ow` axis in one fixed order (thread-count invariant), so they
+/// agree bit for bit; that order differs from the pre-kernel per-sample
+/// partial sums by rounding only — see
 /// [`crate::reference::conv2d_backward_weight_reference`].
 ///
 /// # Errors
@@ -793,6 +815,25 @@ pub fn conv2d_backward_weight(
     stride: usize,
     padding: usize,
 ) -> Result<Tensor, TensorError> {
+    let d = backward_weight_dims(input, grad_output, kernel, stride, padding)?;
+    let path = match direct_bwd_weight::select(Isa::detect(), d.o, d.kw, stride) {
+        Some(tile) => BwdWeightPath::Direct(tile),
+        None => BwdWeightPath::Gemm,
+    };
+    let mut grad_w = vec![0.0f32; d.o * d.k];
+    bwd_weight_run(path, input, grad_output, &d, stride, padding, &mut grad_w);
+    Tensor::from_vec(grad_w, &[d.o, d.c, d.kh, d.kw])
+}
+
+/// Validates the operands of [`conv2d_backward_weight`] and resolves its
+/// shape.
+fn backward_weight_dims(
+    input: &Tensor,
+    grad_output: &Tensor,
+    kernel: (usize, usize),
+    stride: usize,
+    padding: usize,
+) -> Result<ConvDims, TensorError> {
     check_rank4(input, "conv2d input")?;
     check_rank4(grad_output, "conv2d grad_output")?;
     let o = grad_output.shape()[1];
@@ -803,37 +844,156 @@ pub fn conv2d_backward_weight(
             actual: grad_output.shape().to_vec(),
         });
     }
-    let cols = d.n * d.spat;
-    let mut grad_w = vec![0.0f32; d.o * d.k];
-    let run = |padded: &[f32], grad_w: &mut [f32]| {
-        // [o, n*oh*ow] x [k, n*oh*ow]^T = [o, k], columns packed on the
-        // fly from the padded input.
-        with_scratch(d.o * cols, |go| {
-            grad_to_rows_into(grad_output, &d, go);
-            gemm_with_b(
-                d.o,
-                d.k,
-                cols,
-                go,
-                Trans::N,
-                &ColTPacker {
-                    padded,
-                    d: &d,
-                    stride,
-                },
-                grad_w,
-            );
-        });
-    };
-    if padding == 0 {
-        run(input.data(), &mut grad_w);
-    } else {
-        with_scratch(d.n * d.c * d.hp * d.wp, |padded| {
-            pad_into(input, padding, 1, padded);
-            run(padded, &mut grad_w);
-        });
+    Ok(d)
+}
+
+/// One backward-weight kernel (see [`conv2d_backward_weight`]).
+#[derive(Clone, Copy)]
+enum BwdWeightPath {
+    /// The whole-batch GEMM over the virtual transposed im2col.
+    Gemm,
+    /// The direct kernel with its tile.
+    Direct(direct_bwd_weight::Tile),
+}
+
+/// Runs `path`, writing every element of `grad_w` (`[o, c·kh·kw]`).
+fn bwd_weight_run(
+    path: BwdWeightPath,
+    input: &Tensor,
+    grad_output: &Tensor,
+    d: &ConvDims,
+    stride: usize,
+    padding: usize,
+    grad_w: &mut [f32],
+) {
+    match path {
+        BwdWeightPath::Gemm => {
+            // [o, n*oh*ow] x [k, n*oh*ow]^T = [o, k], columns packed on
+            // the fly from the padded input.
+            let cols = d.n * d.spat;
+            let mut run = |padded: &[f32]| {
+                with_scratch(d.o * cols, |go| {
+                    grad_to_rows_into(grad_output, d, go);
+                    gemm_with_b(
+                        d.o,
+                        d.k,
+                        cols,
+                        go,
+                        Trans::N,
+                        &ColTPacker { padded, d, stride },
+                        grad_w,
+                    );
+                });
+            };
+            if padding == 0 {
+                run(input.data());
+            } else {
+                with_scratch(d.n * d.c * d.hp * d.wp, |padded| {
+                    pad_into(input.data(), in_hw(input), padding, 1, padded);
+                    run(padded);
+                });
+            }
+        }
+        BwdWeightPath::Direct(tile) => {
+            bwd_weight_direct(tile, input, grad_output, d, stride, padding, grad_w);
+        }
     }
-    Tensor::from_vec(grad_w, &[d.o, d.c, d.kh, d.kw])
+}
+
+/// The direct backward-weight path: accumulates the `[c·kh·kw, o_pad]`
+/// transposed gradient over the batch and transposes it into `grad_w`.
+/// Threads split the input rows `(c, ki)` — output space — only outside
+/// a pool worker and above [`crate::kernels::PAR_MIN_FLOPS`]; every
+/// thread walks every sample, so no reduction is split.
+fn bwd_weight_direct(
+    tile: direct_bwd_weight::Tile,
+    input: &Tensor,
+    grad_output: &Tensor,
+    d: &ConvDims,
+    stride: usize,
+    padding: usize,
+    grad_w: &mut [f32],
+) {
+    let rows = d.c * d.kh;
+    let row_acc = d.kw * tile.o_pad();
+    let run = |part: std::ops::Range<usize>, acc: &mut [f32]| {
+        acc.fill(0.0);
+        let (x, g) = (input.data(), grad_output.data());
+        direct_bwd_weight::run(tile, x, g, d, stride, padding, part, acc);
+    };
+    // `acc` holds rows `(c·kh + ki)·kw + kj` from `p0` on; row `p` is
+    // `dw[0..o, p]`.
+    let transpose = |acc: &[f32], p0: usize, grad_w: &mut [f32]| {
+        for (p, lanes) in acc.chunks_exact(tile.o_pad()).enumerate() {
+            for (oi, &v) in lanes[..d.o].iter().enumerate() {
+                grad_w[oi * d.k + p0 + p] = v;
+            }
+        }
+    };
+    let flops = 2usize
+        .saturating_mul(d.k)
+        .saturating_mul(d.o)
+        .saturating_mul(d.n * d.spat);
+    let threads = bprom_par::thread_count();
+    if threads <= 1 || flops < crate::kernels::PAR_MIN_FLOPS || bprom_par::in_parallel_worker() {
+        with_scratch(rows * row_acc, |acc| {
+            run(0..rows, acc);
+            transpose(acc, 0, grad_w);
+        });
+        return;
+    }
+    let per = rows.div_ceil(threads.min(rows));
+    let accs = bprom_par::par_map_indexed(rows.div_ceil(per), |t| {
+        let part = t * per..rows.min((t + 1) * per);
+        let mut acc = vec![0.0f32; part.len() * row_acc];
+        run(part, &mut acc);
+        acc
+    });
+    for (t, acc) in accs.iter().enumerate() {
+        transpose(acc, t * per * d.kw, grad_w);
+    }
+}
+
+/// The weight gradient from every backward-weight kernel the running CPU
+/// can execute, each labelled (`"gemm"`, `"direct Avx512 r8"`, ...): the
+/// GEMM, and the direct kernel per ISA at every tile height its
+/// instantiation has, whichever one [`conv2d_backward_weight`] would
+/// select for the shape. The property sweep compares them bitwise with
+/// each other and with the flat-order scalar model; exported from
+/// [`crate::reference`].
+///
+/// # Errors
+///
+/// Returns an error under the same conditions as
+/// [`conv2d_backward_weight`].
+pub fn conv2d_backward_weight_every_path(
+    input: &Tensor,
+    grad_output: &Tensor,
+    kernel: (usize, usize),
+    stride: usize,
+    padding: usize,
+) -> Result<Vec<(String, Tensor)>, TensorError> {
+    let d = backward_weight_dims(input, grad_output, kernel, stride, padding)?;
+    let mut paths = vec![("gemm".to_string(), BwdWeightPath::Gemm)];
+    for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+        if let Some(tile) = direct_bwd_weight::tile(isa, d.o, d.kw) {
+            for r in tile.heights() {
+                paths.push((
+                    format!("direct {isa:?} r{r}"),
+                    BwdWeightPath::Direct(tile.capped(r)),
+                ));
+            }
+        }
+    }
+    paths
+        .into_iter()
+        .map(|(name, path)| {
+            // Every path writes every element; NaN-fill shows one it skips.
+            let mut grad_w = vec![f32::NAN; d.o * d.k];
+            bwd_weight_run(path, input, grad_output, &d, stride, padding, &mut grad_w);
+            Ok((name, Tensor::from_vec(grad_w, &[d.o, d.c, d.kh, d.kw])?))
+        })
+        .collect()
 }
 
 /// Fused per-sample backward-input kernel for a chunk of samples.
@@ -1644,11 +1804,13 @@ mod tests {
         eprintln!("{report}");
     }
 
-    /// Development profiler for the direct backward-input selection rule,
-    /// the twin of `profile_forward_kernels`: times the GEMM, the fused
-    /// pass and every supported direct instantiation on the small-channel
-    /// training shapes at the 32-row training batch, single-threaded, and
-    /// prints the table to stderr. Run with
+    /// Development profiler for the two direct backward selection rules,
+    /// the twin of `profile_forward_kernels`: on the small-channel
+    /// training shapes at the 32-row training batch, single-threaded,
+    /// times the GEMM, the fused pass and every supported direct
+    /// instantiation of backward-input, then the GEMM and every supported
+    /// direct instantiation of backward-weight, and prints both tables to
+    /// stderr. Run with
     /// `cargo test --release -p bprom-tensor -- --ignored profile_backward_kernels --nocapture`.
     #[test]
     #[ignore]
@@ -1728,6 +1890,37 @@ mod tests {
                 BwdInputPath::Gemm => "gemm",
                 BwdInputPath::Direct(..) => "direct",
                 BwdInputPath::Fused(_) => "fused",
+            };
+            report.push_str(&format!(" | selected: {chosen}"));
+            // Backward-weight: the GEMM against each direct instantiation.
+            let input = Tensor::randn(&shape, &mut rng);
+            let mut paths = vec![("gemm".to_string(), BwdWeightPath::Gemm)];
+            for isa in Isa::ALL.into_iter().filter(|i| i.supported()) {
+                if let Some(tile) = direct_bwd_weight::tile(isa, o, k) {
+                    paths.push((format!("{isa:?}"), BwdWeightPath::Direct(tile)));
+                }
+            }
+            let run = |path: BwdWeightPath| {
+                let mut grad_w = vec![0.0f32; d.o * d.k];
+                bwd_weight_run(path, &input, &grad, &d, stride, pad, &mut grad_w);
+                grad_w
+            };
+            let want = run(BwdWeightPath::Gemm);
+            let mut runs: Vec<Box<dyn FnMut()>> = paths
+                .iter()
+                .map(|&(_, path)| Box::new(move || drop(std::hint::black_box(run(path)))) as _)
+                .collect();
+            let mut fs: Vec<&mut dyn FnMut()> = runs.iter_mut().map(|r| &mut **r as _).collect();
+            let best = best_times(&mut fs);
+            drop(runs);
+            report.push_str(&format!("\n{name} (weight):"));
+            for ((label, path), t) in paths.iter().zip(&best) {
+                assert_eq!(run(*path), want, "{name} {label}");
+                report.push_str(&format!(" | {label} {t:.0}us ({:.2}x)", best[0] / t));
+            }
+            let chosen = match direct_bwd_weight::select(isa, o, k, stride) {
+                Some(_) => "direct",
+                None => "gemm",
             };
             report.push_str(&format!(" | selected: {chosen}"));
         }

@@ -18,10 +18,11 @@
 //!   correctness oracles and benchmark baselines. Forward convolutions
 //!   with few output channels take a direct register-blocked kernel
 //!   (`direct`) where it measured faster, storing through an optional
-//!   fused [`Epilogue`], and backward-input passes with few input
-//!   channels take its twin (`direct_bwd`). Every kernel keeps one fixed
-//!   accumulation order, which keeps results byte-identical at any
-//!   `BPROM_THREADS` and on any path.
+//!   fused [`Epilogue`]. Backward-input passes with few input channels
+//!   take its twin (`direct_bwd`), and backward-weight passes with few
+//!   output channels a third direct kernel (`direct_bwd_weight`). Every
+//!   kernel keeps one fixed accumulation order, which keeps results
+//!   byte-identical at any `BPROM_THREADS` and on any path.
 //! * Every fallible operation returns [`Result`]; shape mismatches are
 //!   errors, not panics.
 //! * All randomness flows through [`Rng`], a SplitMix64-seeded xoshiro256++
@@ -52,6 +53,7 @@
 mod conv;
 mod direct;
 mod direct_bwd;
+mod direct_bwd_weight;
 mod error;
 mod kernels;
 mod matmul;

@@ -19,7 +19,7 @@
 //! Nothing in the pipeline calls these; they are `pub` for tests and
 //! benches only.
 
-pub use crate::conv::conv2d_backward_input_every_path;
+pub use crate::conv::{conv2d_backward_input_every_path, conv2d_backward_weight_every_path};
 use crate::conv::{out_dim, pad2d, unpad2d};
 use crate::{Tensor, TensorError};
 

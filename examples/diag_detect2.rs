@@ -4,8 +4,8 @@
 //! paths and scores them with the same meta-classifier.
 
 use bprom_suite::attacks::AttackKind;
-use bprom_suite::bprom::meta_model::probe_features_whitebox;
-use bprom_suite::bprom::{build_suspicious_zoo, Bprom, BpromConfig, ZooConfig};
+use bprom_suite::bprom::meta_model::probe_features_whitebox_regime;
+use bprom_suite::bprom::{build_suspicious_zoo, Bprom, BpromConfig, OracleRegime, ZooConfig};
 use bprom_suite::data::SynthDataset;
 use bprom_suite::metrics::auroc;
 use bprom_suite::tensor::Rng;
@@ -36,7 +36,13 @@ fn main() {
             &mut rng,
         )
         .unwrap();
-        let feat = probe_features_whitebox(&mut m.model, &prompt, detector.probes()).unwrap();
+        let feat = probe_features_whitebox_regime(
+            &mut m.model,
+            &prompt,
+            detector.probes(),
+            OracleRegime::FullScores,
+        )
+        .unwrap();
         white_scores.push(detector.meta().predict_proba(&feat).unwrap());
         labels.push(m.backdoored);
     }

@@ -4,10 +4,10 @@
 //! shadows and suspicious models share it?
 
 use bprom_suite::attacks::AttackKind;
-use bprom_suite::bprom::meta_model::{probe_features_whitebox, ProbeSet};
+use bprom_suite::bprom::meta_model::{probe_features_whitebox_regime, ProbeSet};
 use bprom_suite::bprom::prompting::prompt_shadows;
 use bprom_suite::bprom::shadow::ShadowSet;
-use bprom_suite::bprom::{build_suspicious_zoo, BpromConfig, ZooConfig};
+use bprom_suite::bprom::{build_suspicious_zoo, BpromConfig, OracleRegime, ZooConfig};
 use bprom_suite::data::SynthDataset;
 use bprom_suite::tensor::Rng;
 use bprom_suite::vp::{train_prompt_backprop, LabelMap, VisualPrompt};
@@ -67,7 +67,13 @@ fn main() {
     let prompts = prompt_shadows(&config, &mut shadows, &t_train, &map, &mut rng).unwrap();
     let probes = ProbeSet::sample(&t_test, config.probe_count, &mut rng).unwrap();
     for (s, p) in shadows.shadows.iter_mut().zip(&prompts) {
-        let feat = probe_features_whitebox(&mut s.model, &p.prompt, &probes).unwrap();
+        let feat = probe_features_whitebox_regime(
+            &mut s.model,
+            &p.prompt,
+            &probes,
+            OracleRegime::FullScores,
+        )
+        .unwrap();
         summarize("shadow", s.backdoored, &feat, k);
     }
     // Suspicious zoo through the white-box prompting path.
@@ -86,7 +92,13 @@ fn main() {
             &mut rng,
         )
         .unwrap();
-        let feat = probe_features_whitebox(&mut m.model, &prompt, &probes).unwrap();
+        let feat = probe_features_whitebox_regime(
+            &mut m.model,
+            &prompt,
+            &probes,
+            OracleRegime::FullScores,
+        )
+        .unwrap();
         summarize("suspicious", m.backdoored, &feat, k);
     }
 }

@@ -1,13 +1,13 @@
 //! Property sweep for the packed GEMM + batched-im2col conv kernels and
-//! the direct small-channel forward and backward-input kernels: every
-//! kernel-backed op is checked against the retained scalar oracles in
-//! `bprom_tensor::reference` over seeded sweeps of awkward shapes — unit
-//! dims, primes, and ±1 around every blocking parameter (MR 4 /
-//! MR_WIDE·NR 8, MC 64, KC 256, NC 512) — plus ResNetMini's inference
-//! and training shapes, NaN/±inf/−0.0 operands, and the fused conv
-//! epilogue against its separate passes. Backward-input runs every kernel
-//! the host can execute (GEMM, fused pass and direct kernel per ISA), not
-//! only the one it selects.
+//! the direct small-channel forward, backward-input and backward-weight
+//! kernels: every kernel-backed op is checked against the retained scalar
+//! oracles in `bprom_tensor::reference` over seeded sweeps of awkward
+//! shapes — unit dims, primes, and ±1 around every blocking parameter
+//! (MR 4 / MR_WIDE·NR 8, MC 64, KC 256, NC 512) — plus ResNetMini's
+//! inference and training shapes, NaN/±inf/−0.0 operands, and the fused
+//! conv epilogue against its separate passes. Both backward directions run
+//! every kernel the host can execute (GEMM, fused pass and direct kernel
+//! per ISA and tile height), not only the one they select.
 //!
 //! Equality is **bitwise** wherever the determinism contract promises it
 //! (`matmul`/`matmul_tn`/`matmul_nt`, `conv2d`, `conv2d_backward_input`,
@@ -25,7 +25,8 @@
 use bprom_suite::par;
 use bprom_suite::tensor::reference::{
     conv2d_backward_input_every_path, conv2d_backward_input_reference,
-    conv2d_backward_weight_reference, conv2d_reference, matmul_reference,
+    conv2d_backward_weight_every_path, conv2d_backward_weight_reference, conv2d_reference,
+    matmul_reference,
 };
 use bprom_suite::tensor::{
     conv2d, conv2d_backward_input, conv2d_backward_weight, pad2d, ChannelNorm, ConvWeight,
@@ -546,6 +547,112 @@ fn conv2d_backward_weight_matches_per_sample_reference_to_tolerance() {
     }
 }
 
+/// The shape table of the backward-kernel profiler
+/// (`profile_backward_kernels` in `conv.rs`): ResNetMini's training
+/// convolutions at widths 6/10, 8/32 and 12/48, the `1 × 1` stride-2
+/// projection, pointwise convs, the single-channel `3 × 3` convs
+/// MobileNetMini's depthwise layers run per channel, other map sizes and
+/// a `5 × 5` kernel — `(c, o, k, stride, pad, side)`.
+const BACKWARD_SHAPES: [(usize, usize, usize, usize, usize, usize); 23] = [
+    (3, 6, 3, 1, 1, 16),
+    (6, 6, 3, 1, 1, 16),
+    (6, 10, 3, 2, 1, 16),
+    (10, 10, 3, 1, 1, 8),
+    (6, 10, 1, 2, 0, 16),
+    (8, 8, 3, 1, 1, 16),
+    (8, 32, 3, 2, 1, 16),
+    (12, 12, 3, 1, 1, 16),
+    (12, 48, 3, 2, 1, 16),
+    (6, 8, 1, 1, 0, 8),
+    (8, 10, 1, 1, 0, 8),
+    (1, 1, 3, 2, 1, 16),
+    (1, 1, 3, 1, 1, 8),
+    (4, 4, 3, 1, 1, 16),
+    (6, 6, 3, 1, 1, 12),
+    (6, 6, 3, 1, 1, 24),
+    (6, 10, 3, 2, 1, 24),
+    (6, 6, 3, 1, 1, 4),
+    (6, 10, 3, 2, 1, 8),
+    (8, 32, 3, 1, 1, 16),
+    (12, 48, 3, 1, 1, 8),
+    (2, 6, 3, 1, 1, 16),
+    (6, 6, 5, 1, 2, 16),
+];
+
+/// Whether the host runs the direct kernels' instantiations (AVX2, and
+/// AVX-512VL above it).
+fn host_has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    return false;
+}
+
+/// Every backward-weight kernel the host runs, and the public entry
+/// point, against the flat-order model: bitwise, or NaN where it has NaN.
+fn check_backward_weight_paths(
+    x: &Tensor,
+    gy: &Tensor,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    what: &str,
+) {
+    let model = backward_weight_flat_order(x, gy, (k, k), stride, pad);
+    let paths = conv2d_backward_weight_every_path(x, gy, (k, k), stride, pad).unwrap();
+    let o = gy.shape()[1];
+    if o <= 16 && (k == 1 || k == 3) && host_has_avx2() {
+        assert!(
+            paths.iter().any(|(name, _)| name.starts_with("direct")),
+            "{what}: no direct instantiation exercised"
+        );
+    }
+    for (name, got) in &paths {
+        assert_bits_or_both_nan(got, &model, &format!("{what}: {name}"));
+    }
+    let public = conv2d_backward_weight(x, gy, (k, k), stride, pad).unwrap();
+    assert_bits_or_both_nan(&public, &model, &format!("{what}: selected kernel"));
+}
+
+/// Every backward-weight kernel — the GEMM and the direct kernel per ISA
+/// at every tile height — on the profiler's shape table, at the 32-row
+/// training batch and at one and three samples, with NaN/±inf/−0.0 in
+/// the input and the gradient. Last, an infinite gradient beside the
+/// border of a padded shape: its products with the padding zeros are
+/// `inf · 0 = NaN` terms in the model, which every kernel must keep (one
+/// that skipped the padding would return finite taps there).
+#[test]
+fn conv2d_backward_weight_every_path_matches_flat_order_model() {
+    let mut rng = case_rng(0xe00);
+    for (i, &(c, o, k, stride, pad, side)) in BACKWARD_SHAPES.iter().enumerate() {
+        for n in [32, 1, 3] {
+            let mut x = Tensor::randn(&[n, c, side, side], &mut rng);
+            let wt = Tensor::randn(&[o, c, k, k], &mut rng);
+            let y = conv2d(&x, &wt, stride, pad).unwrap();
+            let mut gy = Tensor::randn(y.shape(), &mut rng);
+            if n != 32 {
+                poison(&mut x, i + n);
+                poison(&mut gy, 3 * i + n);
+            }
+            let what = format!("shape {i} n={n}: {c}>{o} k{k} s{stride} {side}x{side}");
+            check_backward_weight_paths(&x, &gy, k, stride, pad, &what);
+        }
+    }
+    let (n, c, o, k, side) = (2, 6, 6, 3, 16);
+    let x = Tensor::randn(&[n, c, side, side], &mut rng);
+    let mut gy = Tensor::randn(&[n, o, side, side], &mut rng);
+    // Output (0, 0) of channel 0 in sample 1: taps ki = 0 or kj = 0 read
+    // padding there.
+    gy.data_mut()[o * side * side] = f32::INFINITY;
+    let model = backward_weight_flat_order(&x, &gy, (k, k), 1, 1);
+    let row = &model.data()[..c * k * k];
+    assert!(
+        row.iter().any(|v| v.is_nan()) && row.iter().any(|v| v.is_infinite()),
+        "the infinite gradient must give NaN (padding) and inf (interior) taps"
+    );
+    check_backward_weight_paths(&x, &gy, k, 1, 1, "infinite gradient beside the border");
+}
+
 // ---- threading ----
 
 /// Shapes big enough to clear the kernels' `PAR_MIN_FLOPS` gate, so the
@@ -558,11 +665,13 @@ fn results_invariant_under_thread_count() {
     let b = Tensor::randn(&[129, 128], &mut rng);
     let x = Tensor::randn(&[8, 8, 16, 16], &mut rng);
     let wt = Tensor::randn(&[32, 8, 3, 3], &mut rng);
-    // A small-channel shape for the direct kernels' batch split.
+    // Small-channel shapes for the direct kernels' thread splits: samples
+    // forward and backward-input, input rows backward-weight.
     let xs = Tensor::randn(&[48, 6, 16, 16], &mut rng);
     let ws = Tensor::randn(&[6, 6, 3, 3], &mut rng);
     let gys = Tensor::randn(&[32, 6, 16, 16], &mut rng);
     let gxs_shape = [32, 6, 16, 16];
+    let xw = Tensor::randn(&gxs_shape, &mut rng);
     let y1;
     let gw1;
     let gx1;
@@ -570,6 +679,7 @@ fn results_invariant_under_thread_count() {
     par::set_thread_count(1);
     let ys1 = conv2d(&xs, &ws, 1, 1).unwrap();
     let gxs1 = conv2d_backward_input(&ws, &gys, &gxs_shape, 1, 1).unwrap();
+    let gws1 = conv2d_backward_weight(&xw, &gys, (3, 3), 1, 1).unwrap();
     {
         mm1 = a.matmul(&b).unwrap();
         y1 = conv2d(&x, &wt, 1, 1).unwrap();
@@ -585,9 +695,11 @@ fn results_invariant_under_thread_count() {
     let gx4 = conv2d_backward_input(&wt, &gy, x.shape(), 1, 1).unwrap();
     let ys4 = conv2d(&xs, &ws, 1, 1).unwrap();
     let gxs4 = conv2d_backward_input(&ws, &gys, &gxs_shape, 1, 1).unwrap();
+    let gws4 = conv2d_backward_weight(&xw, &gys, (3, 3), 1, 1).unwrap();
     par::set_thread_count(0);
     assert_bits(&ys1, &ys4, "small-channel conv2d 1t vs 4t");
     assert_bits(&gxs1, &gxs4, "small-channel backward_input 1t vs 4t");
+    assert_bits(&gws1, &gws4, "small-channel backward_weight 1t vs 4t");
     assert_bits(&mm1, &mm4, "matmul 1t vs 4t");
     assert_bits(&y1, &y4, "conv2d 1t vs 4t");
     assert_bits(&gw1, &gw4, "backward_weight 1t vs 4t");
