@@ -117,9 +117,9 @@ impl AuditOutcome {
     }
 }
 
-/// Everything one [`AuditEngine::run`] concluded: per-audit outcomes in
-/// queue order, the correlated incident report, and the registry's
-/// amortization tallies.
+/// Everything one [`AuditEngine::run_with`] concluded: per-audit
+/// outcomes in queue order, the correlated incident report, and the
+/// registry's amortization tallies.
 #[derive(Debug)]
 pub struct FleetReport {
     /// The engine's run label.
@@ -178,7 +178,7 @@ struct Job {
 
 /// A long-running audit engine over a [`ShadowZooRegistry`].
 ///
-/// [`run`] processes a queue of [`AuditRequest`]s in three phases:
+/// [`run_with`] processes a queue of [`AuditRequest`]s in three phases:
 ///
 /// 1. **registry** — every distinct detector spec is resolved once, in
 ///    first-appearance order, *before* any audit runs. Shadow training
@@ -199,7 +199,7 @@ struct Job {
 /// incident JSON — to N independent single-model runs of the same
 /// (model, spec, seed) triples, at any `BPROM_THREADS` value.
 ///
-/// [`run`]: AuditEngine::run
+/// [`run_with`]: AuditEngine::run_with
 /// [`share_model_caches`]: AuditEngine::share_model_caches
 #[derive(Debug)]
 pub struct AuditEngine {
@@ -251,23 +251,12 @@ impl AuditEngine {
         &self.registry
     }
 
-    /// Audits the queue with the plain inspection path
-    /// ([`Bprom::inspect`] against the sealed, cached oracle).
-    ///
-    /// # Errors
-    ///
-    /// Propagates fit, restore, and inspection failures.
-    pub fn run(&self, queue: Vec<AuditRequest>) -> Result<FleetReport> {
-        self.run_with(queue, |detector, oracle, rng| detector.inspect(oracle, rng))
-    }
-
-    /// Variant of [`run`] that delegates each inspection to a
-    /// caller-supplied closure. The closure receives the shared detector,
-    /// the sealed caching oracle, and the request's freshly seeded RNG;
+    /// Audits the queue, delegating each inspection to `inspect`. The
+    /// closure receives the shared detector, the sealed caching oracle,
+    /// and the request's freshly seeded RNG. The plain path is
+    /// `|detector, oracle, rng| detector.inspect(oracle, rng)`;
     /// hostile-condition tests stack fault-injection and retry
     /// decorators on the oracle before inspecting (see `bprom-faults`).
-    ///
-    /// [`run`]: AuditEngine::run
     ///
     /// # Errors
     ///
@@ -489,7 +478,9 @@ mod tests {
             AuditRequest::new("b-only", trained_model(&config, 6), 10, spec.clone(), 12),
             AuditRequest::new("a-again", trained_model(&config, 5), 10, spec.clone(), 11),
         ];
-        let fleet = engine.run(queue).unwrap();
+        let fleet = engine
+            .run_with(queue, |d, o, rng| d.inspect(o, rng))
+            .unwrap();
 
         // Outcomes stay in queue order; one fit served all three audits.
         let labels: Vec<&str> = fleet.outcomes.iter().map(|o| o.label.as_str()).collect();

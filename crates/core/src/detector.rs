@@ -541,8 +541,25 @@ mod tests {
     use bprom_data::SynthDataset;
     use bprom_nn::models::{build, ModelSpec};
     use bprom_nn::{TrainConfig, Trainer};
-    use bprom_tensor::Rng;
+    use bprom_tensor::{Rng, Tensor};
     use bprom_vp::{PromptTrainConfig, QueryOracle};
+
+    /// A hostile endpoint: answers through an honest model, then mangles
+    /// the response.
+    struct Mangled<'a> {
+        honest: &'a QueryOracle,
+        mangle: fn(Tensor) -> Tensor,
+    }
+
+    impl BlackBoxModel for Mangled<'_> {
+        fn query(&self, batch: &Tensor) -> bprom_vp::Result<Tensor> {
+            Ok((self.mangle)(self.honest.query(batch)?))
+        }
+
+        fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+            Some(self.honest)
+        }
+    }
 
     /// End-to-end smoke test at reduced scale: the detector must produce a
     /// verdict for an arbitrary suspicious model and consume queries.
@@ -615,6 +632,34 @@ mod tests {
             b.signals(),
             "restored detector must inspect bit-identically"
         );
+
+        // A hostile endpoint's short, wide or NaN-carrying responses are
+        // refused at the seal with a typed error, never a panic.
+        let short = |probs: Tensor| {
+            let (n, k) = (probs.shape()[0], probs.shape()[1]);
+            Tensor::from_vec(probs.data()[k..].to_vec(), &[n - 1, k]).unwrap()
+        };
+        let wide = |probs: Tensor| {
+            let n = probs.shape()[0];
+            let mut data = probs.data().to_vec();
+            data.extend(std::iter::repeat_n(0.0, n));
+            Tensor::from_vec(data, &[n, 11]).unwrap()
+        };
+        let nan = |mut probs: Tensor| {
+            probs.data_mut()[3] = f32::NAN;
+            probs
+        };
+        for mangle in [short as fn(Tensor) -> Tensor, wide, nan] {
+            let hostile = Mangled {
+                honest: &oracle,
+                mangle,
+            };
+            let err = detector.inspect(&hostile, &mut Rng::new(5)).unwrap_err();
+            assert!(
+                matches!(&err, BpromError::Prompting(m) if m.starts_with("malformed oracle response")),
+                "{err}"
+            );
+        }
 
         // A different configuration is rejected by the fingerprint guard,
         // and a truncated payload fails typed instead of panicking.

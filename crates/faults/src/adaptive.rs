@@ -17,13 +17,10 @@
 //! inspections under an adaptive attacker stay byte-identical at any
 //! `BPROM_THREADS` / `BPROM_QCACHE` setting.
 
-use crate::faulty::{attempt_seed, content_key};
-use bprom_ckpt::{Decoder, Encoder};
+use crate::faulty::{attempt_seed, Attempts};
 use bprom_tensor::{Rng, Tensor};
 use bprom_vp::{BlackBoxModel, OracleStats, QueryOutcome, Result};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Domain-separation salt for the evasive-response RNG stream (keeps
 /// fabricated confidences decorrelated from any fault plan sharing the
@@ -115,8 +112,8 @@ pub struct AdaptiveOracle<'a> {
     inner: &'a dyn BlackBoxModel,
     config: AdaptiveConfig,
     seed: u64,
-    /// Times each content key has been submitted (duplicate-rate test).
-    attempts: Mutex<HashMap<u64, u64>>,
+    /// Drives the duplicate-rate test.
+    attempts: Attempts,
     evasions: AtomicU64,
     evaded_rows: AtomicU64,
 }
@@ -138,7 +135,7 @@ impl<'a> AdaptiveOracle<'a> {
             inner,
             config,
             seed,
-            attempts: Mutex::new(HashMap::new()),
+            attempts: Attempts::default(),
             evasions: AtomicU64::new(0),
             evaded_rows: AtomicU64::new(0),
         }
@@ -186,14 +183,7 @@ impl BlackBoxModel for AdaptiveOracle<'_> {
     }
 
     fn try_query_batch(&self, batch: &Tensor) -> Result<QueryOutcome> {
-        let key = content_key(batch);
-        let attempt = {
-            let mut attempts = self.attempts.lock().expect("attempt map poisoned");
-            let slot = attempts.entry(key).or_insert(0);
-            let current = *slot;
-            *slot += 1;
-            current
-        };
+        let (key, attempt) = self.attempts.next(batch);
         if self.is_probe(batch, attempt) {
             let rows = batch.shape()[0];
             self.evasions.fetch_add(1, Ordering::Relaxed);
@@ -204,8 +194,8 @@ impl BlackBoxModel for AdaptiveOracle<'_> {
         self.inner.try_query_batch(batch)
     }
 
-    fn num_classes(&self) -> usize {
-        self.inner.num_classes()
+    fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+        Some(self.inner)
     }
 
     fn queries_used(&self) -> u64 {
@@ -219,14 +209,6 @@ impl BlackBoxModel for AdaptiveOracle<'_> {
             evasive_responses: self.evasions.load(Ordering::Relaxed),
             ..OracleStats::default()
         })
-    }
-
-    fn export_cache(&self, enc: &mut Encoder) -> bool {
-        self.inner.export_cache(enc)
-    }
-
-    fn import_cache(&self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.inner.import_cache(dec)
     }
 }
 

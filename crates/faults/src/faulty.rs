@@ -1,7 +1,6 @@
 //! The fault-injecting oracle decorator.
 
 use crate::FaultPlan;
-use bprom_ckpt::{Decoder, Encoder};
 use bprom_tensor::{Rng, Tensor};
 use bprom_vp::{BlackBoxModel, OracleStats, QueryOutcome, Result, VpError};
 use std::collections::HashMap;
@@ -28,6 +27,26 @@ pub(crate) fn content_key(batch: &Tensor) -> u64 {
         eat(&v.to_bits().to_le_bytes());
     }
     h
+}
+
+/// How many times each query content has been submitted: the
+/// per-content attempt counter behind both content-keyed decorators
+/// ([`FaultyOracle`] re-rolls a retried query's fate with it,
+/// [`crate::AdaptiveOracle`] runs its duplicate-rate test on it).
+#[derive(Debug, Default)]
+pub(crate) struct Attempts(Mutex<HashMap<u64, u64>>);
+
+impl Attempts {
+    /// Records one submission of `batch`, returning its content key and
+    /// the 0-based attempt number of this submission.
+    pub(crate) fn next(&self, batch: &Tensor) -> (u64, u64) {
+        let key = content_key(batch);
+        let mut attempts = self.0.lock().expect("attempt map poisoned");
+        let slot = attempts.entry(key).or_insert(0);
+        let attempt = *slot;
+        *slot += 1;
+        (key, attempt)
+    }
 }
 
 /// Mixes the plan seed, content key and attempt number into one child
@@ -62,9 +81,9 @@ pub struct FaultyOracle<'a, F: FaultPlan> {
     inner: &'a dyn BlackBoxModel,
     plan: F,
     seed: u64,
-    /// Times each content key has been submitted (drives per-attempt
-    /// fault draws so a retried query re-rolls its fate).
-    attempts: Mutex<HashMap<u64, u64>>,
+    /// Drives per-attempt fault draws, so a retried query re-rolls its
+    /// fate.
+    attempts: Attempts,
     faults_injected: AtomicU64,
     degraded: AtomicU64,
 }
@@ -90,7 +109,7 @@ impl<'a, F: FaultPlan> FaultyOracle<'a, F> {
             inner,
             plan,
             seed,
-            attempts: Mutex::new(HashMap::new()),
+            attempts: Attempts::default(),
             faults_injected: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
         }
@@ -121,14 +140,7 @@ impl<F: FaultPlan> BlackBoxModel for FaultyOracle<'_, F> {
     }
 
     fn try_query_batch(&self, batch: &Tensor) -> Result<QueryOutcome> {
-        let key = content_key(batch);
-        let attempt = {
-            let mut attempts = self.attempts.lock().expect("attempt map poisoned");
-            let slot = attempts.entry(key).or_insert(0);
-            let current = *slot;
-            *slot += 1;
-            current
-        };
+        let (key, attempt) = self.attempts.next(batch);
         let mut rng = Rng::new(attempt_seed(self.seed, key, attempt));
         if let Some(fault) = self.plan.admit(&mut rng) {
             self.faults_injected.fetch_add(1, Ordering::Relaxed);
@@ -143,12 +155,8 @@ impl<F: FaultPlan> BlackBoxModel for FaultyOracle<'_, F> {
         Ok(Ok(probs))
     }
 
-    fn num_classes(&self) -> usize {
-        self.inner.num_classes()
-    }
-
-    fn queries_used(&self) -> u64 {
-        self.inner.queries_used()
+    fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+        Some(self.inner)
     }
 
     fn oracle_stats(&self) -> OracleStats {
@@ -157,14 +165,6 @@ impl<F: FaultPlan> BlackBoxModel for FaultyOracle<'_, F> {
             degraded_responses: self.degraded.load(Ordering::Relaxed),
             ..OracleStats::default()
         })
-    }
-
-    fn export_cache(&self, enc: &mut Encoder) -> bool {
-        self.inner.export_cache(enc)
-    }
-
-    fn import_cache(&self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.inner.import_cache(dec)
     }
 }
 

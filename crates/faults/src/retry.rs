@@ -1,6 +1,5 @@
 //! Bounded-retry decorator with virtual-clock exponential backoff.
 
-use bprom_ckpt::{Decoder, Encoder};
 use bprom_tensor::Tensor;
 use bprom_vp::{BlackBoxModel, OracleStats, QueryOutcome, Result, VpError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,12 +140,8 @@ impl BlackBoxModel for RetryingOracle<'_> {
         }
     }
 
-    fn num_classes(&self) -> usize {
-        self.inner.num_classes()
-    }
-
-    fn queries_used(&self) -> u64 {
-        self.inner.queries_used()
+    fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+        Some(self.inner)
     }
 
     fn oracle_stats(&self) -> OracleStats {
@@ -156,14 +151,6 @@ impl BlackBoxModel for RetryingOracle<'_> {
             backoff_virtual_ms: self.backoff_ms.load(Ordering::Relaxed),
             ..OracleStats::default()
         })
-    }
-
-    fn export_cache(&self, enc: &mut Encoder) -> bool {
-        self.inner.export_cache(enc)
-    }
-
-    fn import_cache(&self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.inner.import_cache(dec)
     }
 }
 

@@ -63,7 +63,7 @@ mod tests {
     use bprom_faults::{FaultyOracle, RetryPolicy, RetryingOracle, Transient};
     use bprom_nn::models::{mlp, ModelSpec};
     use bprom_tensor::{Rng, Tensor};
-    use bprom_vp::{BlackBoxModel, QueryFault, QueryOracle, QueryOutcome, Result};
+    use bprom_vp::{BlackBoxModel, QueryFault, QueryOracle, QueryOutcome, Result, VpError};
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -212,7 +212,8 @@ mod tests {
 
     impl BlackBoxModel for FlakyOnce {
         fn query(&self, batch: &Tensor) -> Result<Tensor> {
-            self.inner.query(batch)
+            self.try_query_batch(batch)?
+                .map_err(|fault| VpError::OracleFault { fault, attempts: 1 })
         }
 
         fn try_query_batch(&self, batch: &Tensor) -> Result<QueryOutcome> {
@@ -223,12 +224,8 @@ mod tests {
             self.inner.try_query_batch(batch)
         }
 
-        fn num_classes(&self) -> usize {
-            self.inner.num_classes()
-        }
-
-        fn queries_used(&self) -> u64 {
-            self.inner.queries_used()
+        fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+            Some(&self.inner)
         }
     }
 

@@ -404,8 +404,8 @@ impl<B: BlackBoxModel> BlackBoxModel for CachingOracle<B> {
         }
     }
 
-    fn num_classes(&self) -> usize {
-        self.inner.num_classes()
+    fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+        Some(&self.inner)
     }
 
     /// The *logical* query budget: rows served from cache plus rows the

@@ -32,10 +32,9 @@
 //! (`Quantize` / `TopK` / `LabelOnly`), so the wire shapes a hostile
 //! plan produces and a declared regime produces are bit-identical.
 
-use bprom_ckpt::{Decoder, Encoder};
 use bprom_faults::{FaultPlan, LabelOnly, Quantize, TopK};
 use bprom_tensor::{Rng, Tensor};
-use bprom_vp::{BlackBoxModel, FitnessKind, OracleStats, QueryOutcome, Result};
+use bprom_vp::{BlackBoxModel, FitnessKind, QueryOutcome, Result};
 
 /// Environment variable selecting the oracle regime
 /// (`full` | `quantized:<decimals>` | `top_k:<k>` | `label_only`).
@@ -287,24 +286,8 @@ impl BlackBoxModel for RegimeOracle<'_> {
         }
     }
 
-    fn num_classes(&self) -> usize {
-        self.inner.num_classes()
-    }
-
-    fn queries_used(&self) -> u64 {
-        self.inner.queries_used()
-    }
-
-    fn oracle_stats(&self) -> OracleStats {
-        self.inner.oracle_stats()
-    }
-
-    fn export_cache(&self, enc: &mut Encoder) -> bool {
-        self.inner.export_cache(enc)
-    }
-
-    fn import_cache(&self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.inner.import_cache(dec)
+    fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+        Some(self.inner)
     }
 }
 
@@ -312,7 +295,7 @@ impl BlackBoxModel for RegimeOracle<'_> {
 mod tests {
     use super::*;
     use bprom_nn::models::{mlp, ModelSpec};
-    use bprom_vp::QueryOracle;
+    use bprom_vp::{OracleStats, QueryOracle};
 
     #[test]
     fn parse_accepts_the_documented_forms() {

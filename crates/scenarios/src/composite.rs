@@ -8,9 +8,8 @@
 //! told) whether it is probing a monolithic classifier or a prompted
 //! backbone.
 
-use bprom_ckpt::{Decoder, Encoder};
 use bprom_tensor::Tensor;
-use bprom_vp::{BlackBoxModel, LabelMap, OracleStats, QueryOracle, Result, VisualPrompt, VpError};
+use bprom_vp::{BlackBoxModel, LabelMap, QueryOracle, Result, VisualPrompt, VpError};
 
 /// A frozen backbone adapted with a visual prompt + label map, sealed as
 /// one query-only system.
@@ -131,27 +130,15 @@ impl BlackBoxModel for PromptedBackbone {
         self.translate(&probs)
     }
 
+    /// Query accounting, stats and the cache pair are the backbone's:
+    /// `apply_batch` preserves the batch dimension, so n downstream
+    /// images per query submit exactly n backbone images.
+    fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+        Some(&self.backbone)
+    }
+
     fn num_classes(&self) -> usize {
         self.map.target_classes()
-    }
-
-    fn queries_used(&self) -> u64 {
-        // apply_batch preserves the batch dimension, so the backbone's
-        // image count *is* the composite's: n downstream images per query
-        // submit exactly n backbone images.
-        self.backbone.queries_used()
-    }
-
-    fn oracle_stats(&self) -> OracleStats {
-        self.backbone.oracle_stats()
-    }
-
-    fn export_cache(&self, enc: &mut Encoder) -> bool {
-        self.backbone.export_cache(enc)
-    }
-
-    fn import_cache(&self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.backbone.import_cache(dec)
     }
 }
 

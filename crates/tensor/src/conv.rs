@@ -644,7 +644,7 @@ fn for_sample_chunks(
 /// Two kernels compute it: the direct small-channel kernel (module
 /// `direct`) where its measured shape/ISA rule (`direct::select`) picks
 /// it, and otherwise a single `[o, k] × [k, n·oh·ow]` GEMM over the
-/// virtual-im2col [`ColPacker`]. Both accumulate in the same order, so
+/// virtual-im2col `ColPacker`. Both accumulate in the same order, so
 /// results are bit-identical to the per-sample reference
 /// ([`crate::reference::conv2d_reference`]) followed by the epilogue.
 ///
@@ -798,7 +798,7 @@ fn conv_gemm(
 /// `direct_bwd_weight`) where its measured shape/ISA rule
 /// (`direct_bwd_weight::select`) picks it, and otherwise one
 /// `[o, n·oh·ow] × [k, n·oh·ow]ᵀ` GEMM over the virtual transposed im2col
-/// ([`ColTPacker`]). Both reduce each weight gradient over the flat
+/// (`ColTPacker`). Both reduce each weight gradient over the flat
 /// `n·oh·ow` axis in one fixed order (thread-count invariant), so they
 /// agree bit for bit; that order differs from the pre-kernel per-sample
 /// partial sums by rounding only — see
@@ -1182,10 +1182,10 @@ fn fused_bwd_input(isa: Isa) -> BwdInputFn {
 ///   `direct_bwd`) where its measured rule (`direct_bwd::select`) picks
 ///   it;
 /// * other layers with `o ≥ 16` output channels run one whole-batch
-///   `[o, k]ᵀ × [o, n·oh·ow]` GEMM over the [`GradRowsPacker`] operand and
-///   scatter it with [`col2im_sample`];
+///   `[o, k]ᵀ × [o, n·oh·ow]` GEMM over the `GradRowsPacker` operand and
+///   scatter it with `col2im_sample`;
 /// * everything else runs the fused per-channel pass
-///   ([`bwd_input_samples_body`]).
+///   (`bwd_input_samples_body`).
 ///
 /// All three accumulate in the same order, so results are bit-identical
 /// to the per-sample reference at any thread count.

@@ -13,8 +13,8 @@
 //!   simplicity pays off in testability.
 //! * Every rank-2 product (`matmul`/`matmul_tn`/`matmul_nt`) and both
 //!   convolution directions run on one packed, cache-blocked GEMM driver
-//!   ([`kernels`] + [`pack`], threaded over `bprom-par`), with the
-//!   pre-kernel scalar implementations retained in [`reference`] as
+//!   (`kernels` + `pack`, threaded over `bprom-par`), with the
+//!   pre-kernel scalar implementations retained in [`mod@reference`] as
 //!   correctness oracles and benchmark baselines. Forward convolutions
 //!   with few output channels take a direct register-blocked kernel
 //!   (`direct`) where it measured faster, storing through an optional

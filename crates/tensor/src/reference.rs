@@ -1,7 +1,7 @@
 //! Retained pre-kernel reference implementations.
 //!
 //! These are the exact matmul/conv code paths the workspace shipped
-//! before the packed-GEMM kernel layer ([`crate::kernels`]) replaced
+//! before the packed-GEMM kernel layer (`kernels`) replaced
 //! them, kept for two jobs:
 //!
 //! * **Correctness oracles.** The kernel property sweep
@@ -12,7 +12,7 @@
 //!   changed (conv backward-weight, which now reduces over one flat
 //!   whole-batch axis instead of per-sample partial sums).
 //! * **Honest baselines.** The conv-epoch speedup gate
-//!   (`conv_epoch_speedup_gate` in [`crate::conv`]'s tests) measures
+//!   (`conv_epoch_speedup_gate` in the `conv` module's tests) measures
 //!   against these, not against a strawman — they are the real
 //!   pre-kernel hot path, per-sample im2col allocations included.
 //!

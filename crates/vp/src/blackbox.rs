@@ -65,42 +65,59 @@ pub struct OracleStats {
 }
 
 impl OracleStats {
+    /// Every counter, in declaration order: the one list that
+    /// [`OracleStats::delta_since`], [`OracleStats::merged`] and the
+    /// snapshot codec ([`OracleStats::encode`] / [`OracleStats::decode`])
+    /// iterate over. The order is the snapshot byte order.
+    const COUNTERS: [fn(&mut OracleStats) -> &mut u64; 9] = [
+        |s| &mut s.faults_injected,
+        |s| &mut s.degraded_responses,
+        |s| &mut s.retries,
+        |s| &mut s.retry_exhausted,
+        |s| &mut s.backoff_virtual_ms,
+        |s| &mut s.cache_hits,
+        |s| &mut s.cache_misses,
+        |s| &mut s.cache_evictions,
+        |s| &mut s.evasive_responses,
+    ];
+
+    /// Applies `op` counter by counter to `self` and `other`.
+    fn zip_with(&self, other: &OracleStats, op: impl Fn(u64, u64) -> u64) -> OracleStats {
+        let (mut out, mut other) = (*self, *other);
+        for counter in Self::COUNTERS {
+            let value = op(*counter(&mut out), *counter(&mut other));
+            *counter(&mut out) = value;
+        }
+        out
+    }
+
     /// Component-wise difference against an earlier snapshot of the same
     /// (monotonic) stats; saturates at zero for safety.
     pub fn delta_since(&self, earlier: &OracleStats) -> OracleStats {
-        OracleStats {
-            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
-            degraded_responses: self
-                .degraded_responses
-                .saturating_sub(earlier.degraded_responses),
-            retries: self.retries.saturating_sub(earlier.retries),
-            retry_exhausted: self.retry_exhausted.saturating_sub(earlier.retry_exhausted),
-            backoff_virtual_ms: self
-                .backoff_virtual_ms
-                .saturating_sub(earlier.backoff_virtual_ms),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
-            evasive_responses: self
-                .evasive_responses
-                .saturating_sub(earlier.evasive_responses),
-        }
+        self.zip_with(earlier, u64::saturating_sub)
     }
 
     /// Component-wise sum (for chaining a decorator's own tally onto its
     /// inner oracle's).
     pub fn merged(&self, other: &OracleStats) -> OracleStats {
-        OracleStats {
-            faults_injected: self.faults_injected + other.faults_injected,
-            degraded_responses: self.degraded_responses + other.degraded_responses,
-            retries: self.retries + other.retries,
-            retry_exhausted: self.retry_exhausted + other.retry_exhausted,
-            backoff_virtual_ms: self.backoff_virtual_ms + other.backoff_virtual_ms,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            cache_evictions: self.cache_evictions + other.cache_evictions,
-            evasive_responses: self.evasive_responses + other.evasive_responses,
+        self.zip_with(other, |a, b| a + b)
+    }
+
+    /// Appends every counter to a snapshot, in declaration order.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        let mut stats = *self;
+        for counter in Self::COUNTERS {
+            enc.put_u64(*counter(&mut stats));
         }
+    }
+
+    /// Reads the counters [`OracleStats::encode`] wrote.
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<OracleStats> {
+        let mut stats = OracleStats::default();
+        for counter in Self::COUNTERS {
+            *counter(&mut stats) = dec.get_u64()?;
+        }
+        Ok(stats)
     }
 }
 
@@ -116,6 +133,20 @@ impl OracleStats {
 /// candidate loop in `bprom-par` shares one oracle across workers the
 /// same way. Implementations keep query accounting exact under
 /// concurrency (atomics).
+///
+/// # Leaves and layers
+///
+/// A *leaf* answers queries itself ([`QueryOracle`]) and implements
+/// `query`, `num_classes` and `queries_used`; its other defaults give a
+/// cacheless, fault-free oracle. A *layer* decorates another oracle and
+/// returns it from [`BlackBoxModel::wrapped`]; `num_classes`,
+/// `queries_used`, `oracle_stats` and the cache pair then forward there
+/// by default. A layer writes `query` and overrides only what it
+/// changes: `try_query_batch` to inject, absorb or transform in-band
+/// faults, `oracle_stats` to merge its own counters onto its inner
+/// oracle's, `queries_used` when it answers rows without the inner
+/// model, `num_classes` when it changes the class space, and the cache
+/// pair when it holds a cache.
 pub trait BlackBoxModel: Send + Sync {
     /// Returns a `[n, k]` matrix of confidence vectors (softmax
     /// probabilities) for a `[n, c, h, w]` input batch.
@@ -147,46 +178,61 @@ pub trait BlackBoxModel: Send + Sync {
         }
     }
 
+    /// The oracle this layer decorates, or `None` for a leaf. The
+    /// forwarding defaults below read it, so a layer that returns its
+    /// inner oracle here inherits everything it does not override.
+    fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+        None
+    }
+
     /// Length of the confidence vector (number of source classes `K_S`).
-    fn num_classes(&self) -> usize;
+    /// The default panics on a leaf rather than make a count up.
+    fn num_classes(&self) -> usize {
+        self.wrapped()
+            .expect("a leaf oracle must implement BlackBoxModel::num_classes")
+            .num_classes()
+    }
 
     /// Number of *images* submitted so far (query-budget accounting).
-    fn queries_used(&self) -> u64;
+    /// The default panics on a leaf rather than make a count up.
+    fn queries_used(&self) -> u64 {
+        self.wrapped()
+            .expect("a leaf oracle must implement BlackBoxModel::queries_used")
+            .queries_used()
+    }
 
-    /// Cumulative fault/retry accounting for this oracle stack. Plain
-    /// oracles report all-zero stats; decorators chain their tallies onto
-    /// their inner oracle's (see [`OracleStats`]).
+    /// Cumulative fault/retry accounting for this oracle stack (see
+    /// [`OracleStats`]); all zeros for a leaf.
     fn oracle_stats(&self) -> OracleStats {
-        OracleStats::default()
+        self.wrapped()
+            .map_or_else(OracleStats::default, |inner| inner.oracle_stats())
     }
 
     /// Serializes any memoized query state this stack holds (see
     /// `bprom-qcache`) into `enc`, returning `true` if something was
-    /// written. Oracles without a cache keep this default and return
-    /// `false`; passive decorators forward to their inner oracle so a
-    /// checkpoint snapshot can reach the cache through the whole stack.
+    /// written; `false` for a cacheless leaf.
     fn export_cache(&self, enc: &mut Encoder) -> bool {
-        let _ = enc;
-        false
+        self.wrapped().is_some_and(|inner| inner.export_cache(enc))
     }
 
     /// Restores memoized query state previously written by
-    /// [`BlackBoxModel::export_cache`]. The cacheless default ignores the
-    /// payload; decorators forward to their inner oracle.
+    /// [`BlackBoxModel::export_cache`]; a cacheless leaf ignores it.
     ///
     /// # Errors
     ///
     /// Returns an error when the payload is malformed for the receiving
     /// cache (wrong version, truncated bytes).
     fn import_cache(&self, dec: &mut Decoder<'_>) -> Result<()> {
-        let _ = dec;
-        Ok(())
+        self.wrapped()
+            .map_or(Ok(()), |inner| inner.import_cache(dec))
     }
 }
 
 /// Every `&T` is itself a black-box oracle, forwarding to `T`. This lets
 /// owning decorators (e.g. `bprom-qcache`'s `CachingOracle<B>`) wrap a
-/// *borrowed* oracle without a dedicated borrowing variant.
+/// *borrowed* oracle without a dedicated borrowing variant. It forwards
+/// every method, not just [`BlackBoxModel::wrapped`], so `T`'s own
+/// overrides stay in force.
 impl<T: BlackBoxModel + ?Sized> BlackBoxModel for &T {
     fn query(&self, batch: &Tensor) -> Result<Tensor> {
         (**self).query(batch)
@@ -194,6 +240,10 @@ impl<T: BlackBoxModel + ?Sized> BlackBoxModel for &T {
 
     fn try_query_batch(&self, batch: &Tensor) -> Result<QueryOutcome> {
         (**self).try_query_batch(batch)
+    }
+
+    fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+        (**self).wrapped()
     }
 
     fn num_classes(&self) -> usize {
@@ -301,8 +351,70 @@ mod tests {
         assert_eq!(oracle.queries_used(), 4);
         oracle.query(&batch).unwrap();
         assert_eq!(oracle.queries_used(), 8);
-        // A bare oracle injects no faults and retries nothing.
+        // A bare oracle injects no faults, retries nothing, holds no cache
+        // and wraps nothing.
         assert_eq!(oracle.oracle_stats(), OracleStats::default());
+        assert!(!oracle.export_cache(&mut Encoder::new()));
+        assert!(oracle.import_cache(&mut Decoder::new(&[])).is_ok());
+        assert!(oracle.wrapped().is_none());
+    }
+
+    #[test]
+    fn every_stats_counter_survives_merge_delta_and_snapshot() {
+        // Give each counter in the list a distinct value, then read the
+        // named fields back: a field missing from (or doubled in) the
+        // list reads zero, and a reordered list reads out of order.
+        let named = |s: &OracleStats| {
+            [
+                s.faults_injected,
+                s.degraded_responses,
+                s.retries,
+                s.retry_exhausted,
+                s.backoff_virtual_ms,
+                s.cache_hits,
+                s.cache_misses,
+                s.cache_evictions,
+                s.evasive_responses,
+            ]
+        };
+        let want: [u64; 9] = std::array::from_fn(|i| 101 * (i as u64 + 1));
+        let mut a = OracleStats::default();
+        for (counter, v) in OracleStats::COUNTERS.iter().zip(want) {
+            *counter(&mut a) = v;
+        }
+        assert_eq!(named(&a), want);
+        // A field added to the struct but not to the list changes its size.
+        assert_eq!(std::mem::size_of::<OracleStats>(), 8 * want.len());
+        assert_eq!(named(&a.merged(&a)), want.map(|v| 2 * v));
+        assert_eq!(a.merged(&a).delta_since(&a), a);
+        assert_eq!(
+            OracleStats::default().delta_since(&a),
+            OracleStats::default()
+        );
+        // Snapshot bytes are the counters in declaration order.
+        let mut enc = Encoder::new();
+        a.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        assert_eq!(bytes, want.map(u64::to_le_bytes).concat());
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(OracleStats::decode(&mut dec).unwrap(), a);
+        dec.finish().unwrap();
+        assert!(OracleStats::decode(&mut Decoder::new(&bytes[..40])).is_err());
+    }
+
+    /// A leaf that implements only `query`.
+    struct BareLeaf;
+
+    impl BlackBoxModel for BareLeaf {
+        fn query(&self, batch: &Tensor) -> Result<Tensor> {
+            Ok(batch.clone())
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a leaf oracle must implement BlackBoxModel::num_classes")]
+    fn leaf_never_inherits_a_made_up_class_count() {
+        BareLeaf.num_classes();
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! batch: an exact local tally (images and batches, readable by the
 //! caller even with telemetry disabled) plus, when a `bprom-obs` session
 //! is installed, the `oracle.queries` counter and the
-//! `oracle.query_ns` / `oracle.batch_size` histograms.
+//! `oracle.query_ns` / `oracle.batch_size` histograms. It is also the
+//! seal on what comes back: a response that is not a
+//! `[rows, num_classes]` matrix of finite values is billed, then refused
+//! with [`crate::VpError::MalformedResponse`].
 
-use crate::{BlackBoxModel, OracleStats, QueryOutcome, Result};
-use bprom_ckpt::{Decoder, Encoder};
+use crate::{BlackBoxModel, QueryOutcome, Result, VpError};
 use bprom_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -56,15 +58,10 @@ impl<'a> CountingOracle<'a> {
     pub fn local_batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
     }
-}
 
-impl BlackBoxModel for CountingOracle<'_> {
-    fn query(&self, batch: &Tensor) -> Result<Tensor> {
-        let timed = bprom_obs::enabled();
-        let start = timed.then(Instant::now);
-        let out = self.inner.query(batch)?;
-        // Count only successful queries, mirroring the inner oracle.
-        let n = batch.shape()[0] as u64;
+    /// Bills one answered batch of `n` rows (and its timing, when
+    /// telemetry is on).
+    fn bill(&self, n: u64, start: Option<Instant>) {
         self.queries.fetch_add(n, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         if let Some(start) = start {
@@ -73,6 +70,34 @@ impl BlackBoxModel for CountingOracle<'_> {
             bprom_obs::counter_add("oracle.queries", n);
             bprom_obs::counter_add("oracle.batches", 1);
         }
+    }
+
+    /// The seal: a delivered response must be a `[rows, num_classes]`
+    /// matrix of finite values before anything indexes into it.
+    fn check(&self, rows: usize, probs: &Tensor) -> Result<()> {
+        let want = [rows, self.num_classes()];
+        if probs.shape() != want {
+            return Err(VpError::MalformedResponse {
+                reason: format!("expected shape {want:?}, got {:?}", probs.shape()),
+            });
+        }
+        match probs.data().iter().position(|p| !p.is_finite()) {
+            Some(i) => Err(VpError::MalformedResponse {
+                reason: format!("non-finite confidence {} at index {i}", probs.data()[i]),
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+impl BlackBoxModel for CountingOracle<'_> {
+    fn query(&self, batch: &Tensor) -> Result<Tensor> {
+        let start = bprom_obs::enabled().then(Instant::now);
+        let out = self.inner.query(batch)?;
+        // Count only successful queries, mirroring the inner oracle.
+        let rows = batch.shape()[0];
+        self.bill(rows as u64, start);
+        self.check(rows, &out)?;
         Ok(out)
     }
 
@@ -83,39 +108,18 @@ impl BlackBoxModel for CountingOracle<'_> {
     /// receives — and meters — the dropped request too), while a retry
     /// layer *inside* it bills each logical query once.
     fn try_query_batch(&self, batch: &Tensor) -> Result<QueryOutcome> {
-        let timed = bprom_obs::enabled();
-        let start = timed.then(Instant::now);
+        let start = bprom_obs::enabled().then(Instant::now);
         let out = self.inner.try_query_batch(batch)?;
-        let n = batch.shape()[0] as u64;
-        self.queries.fetch_add(n, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        if let Some(start) = start {
-            bprom_obs::observe("oracle.query_ns", start.elapsed().as_nanos() as u64);
-            bprom_obs::observe("oracle.batch_size", n);
-            bprom_obs::counter_add("oracle.queries", n);
-            bprom_obs::counter_add("oracle.batches", 1);
+        let rows = batch.shape()[0];
+        self.bill(rows as u64, start);
+        if let Ok(probs) = &out {
+            self.check(rows, probs)?;
         }
         Ok(out)
     }
 
-    fn num_classes(&self) -> usize {
-        self.inner.num_classes()
-    }
-
-    fn queries_used(&self) -> u64 {
-        self.inner.queries_used()
-    }
-
-    fn oracle_stats(&self) -> OracleStats {
-        self.inner.oracle_stats()
-    }
-
-    fn export_cache(&self, enc: &mut Encoder) -> bool {
-        self.inner.export_cache(enc)
-    }
-
-    fn import_cache(&self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.inner.import_cache(dec)
+    fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+        Some(self.inner)
     }
 }
 
@@ -155,6 +159,42 @@ mod tests {
         assert!(counting.query(&Tensor::zeros(&[3, 8, 8])).is_err());
         assert_eq!(counting.local_queries(), 0);
         assert_eq!(counting.local_batches(), 0);
+    }
+
+    /// An endpoint that answers one row short.
+    struct Short<'a>(&'a QueryOracle);
+
+    impl BlackBoxModel for Short<'_> {
+        fn query(&self, batch: &Tensor) -> Result<Tensor> {
+            let probs = self.0.query(batch)?;
+            let (n, k) = (probs.shape()[0], probs.shape()[1]);
+            Ok(Tensor::from_vec(probs.data()[k..].to_vec(), &[n - 1, k])?)
+        }
+
+        fn wrapped(&self) -> Option<&dyn BlackBoxModel> {
+            Some(self.0)
+        }
+    }
+
+    #[test]
+    fn malformed_responses_are_billed_then_refused_on_both_paths() {
+        let mut rng = Rng::new(4);
+        let model = mlp(&ModelSpec::new(3, 8, 5), &mut rng).unwrap();
+        let oracle = QueryOracle::new(model, 5);
+        let short = Short(&oracle);
+        let counting = CountingOracle::new(&short);
+        let batch = Tensor::rand_uniform(&[3, 3, 8, 8], 0.0, 1.0, &mut rng);
+        assert!(matches!(
+            counting.query(&batch),
+            Err(VpError::MalformedResponse { .. })
+        ));
+        assert!(matches!(
+            counting.try_query_batch(&batch),
+            Err(VpError::MalformedResponse { .. })
+        ));
+        // The endpoint answered both batches, so both are billed.
+        assert_eq!(counting.local_queries(), 6);
+        assert_eq!(counting.local_batches(), 2);
     }
 
     #[test]

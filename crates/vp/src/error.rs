@@ -24,6 +24,13 @@ pub enum VpError {
         /// Query attempts made before giving up (1 when unretried).
         attempts: u32,
     },
+    /// An oracle delivered a response that is not a `[rows, classes]`
+    /// matrix of finite confidences (a short, wide or NaN-carrying answer
+    /// from a hostile endpoint), refused at the `CountingOracle` seal.
+    MalformedResponse {
+        /// What was wrong with the response.
+        reason: String,
+    },
     /// `CmaEs::tell` received a NaN fitness value, which would silently
     /// poison the distribution update.
     NanFitness {
@@ -43,6 +50,9 @@ impl fmt::Display for VpError {
             VpError::InvalidConfig { reason } => write!(f, "invalid VP config: {reason}"),
             VpError::OracleFault { fault, attempts } => {
                 write!(f, "oracle fault after {attempts} attempt(s): {fault}")
+            }
+            VpError::MalformedResponse { reason } => {
+                write!(f, "malformed oracle response: {reason}")
             }
             VpError::NanFitness { index } => {
                 write!(f, "NaN fitness at index {index} passed to CmaEs::tell")

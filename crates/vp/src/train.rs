@@ -337,17 +337,7 @@ pub fn train_prompt_cmaes(
             let restored_losses = dec.get_f32s()?;
             let restored_penalized = dec.get_u64()?;
             carried_queries = dec.get_u64()?;
-            carried_stats = OracleStats {
-                faults_injected: dec.get_u64()?,
-                degraded_responses: dec.get_u64()?,
-                retries: dec.get_u64()?,
-                retry_exhausted: dec.get_u64()?,
-                backoff_virtual_ms: dec.get_u64()?,
-                cache_hits: dec.get_u64()?,
-                cache_misses: dec.get_u64()?,
-                cache_evictions: dec.get_u64()?,
-                evasive_responses: dec.get_u64()?,
-            };
+            carried_stats = OracleStats::decode(&mut dec)?;
             // Restore any memoized query state the killed run had paid
             // for, so the resumed run re-spends nothing (see bprom-qcache).
             if dec.get_bool()? {
@@ -429,19 +419,11 @@ pub fn train_prompt_cmaes(
             enc.put_f32s(&losses);
             enc.put_u64(penalized.load(Ordering::Relaxed));
             enc.put_u64(carried_queries + (oracle.queries_used() - start_queries));
-            let stats = oracle
+            oracle
                 .oracle_stats()
                 .delta_since(&stats_start)
-                .merged(&carried_stats);
-            enc.put_u64(stats.faults_injected);
-            enc.put_u64(stats.degraded_responses);
-            enc.put_u64(stats.retries);
-            enc.put_u64(stats.retry_exhausted);
-            enc.put_u64(stats.backoff_virtual_ms);
-            enc.put_u64(stats.cache_hits);
-            enc.put_u64(stats.cache_misses);
-            enc.put_u64(stats.cache_evictions);
-            enc.put_u64(stats.evasive_responses);
+                .merged(&carried_stats)
+                .encode(&mut enc);
             let mut cache = Encoder::new();
             if oracle.export_cache(&mut cache) {
                 enc.put_bool(true);

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = AuditEngine::new("mlaas_audit", ShadowZooRegistry::in_memory())
         .with_mode(mode)
         .share_model_caches(true);
-    let fleet = engine.run(queue)?;
+    let fleet = engine.run_with(queue, |d, o, rng| d.inspect(o, rng))?;
 
     println!("\n{:<8} {:<12} verdict", "model", "truth");
     let mut correct = 0usize;

@@ -3,10 +3,18 @@
 //! rate in aggregate, and compose with the query-accounting decorators
 //! without losing a single attempt.
 
-use bprom_suite::faults::{FaultyOracle, RetryPolicy, RetryingOracle, Transient};
+use bprom_suite::ckpt::{Decoder, Encoder};
+use bprom_suite::faults::{
+    AdaptiveConfig, AdaptiveOracle, FaultyOracle, RetryPolicy, RetryingOracle, Transient,
+};
 use bprom_suite::nn::models::{mlp, ModelSpec};
+use bprom_suite::qcache::{CacheConfig, CachingOracle};
+use bprom_suite::regimes::{OracleRegime, RegimeOracle};
+use bprom_suite::scenarios::PromptedBackbone;
 use bprom_suite::tensor::{Rng, Tensor};
-use bprom_suite::vp::{BlackBoxModel, CountingOracle, QueryOracle};
+use bprom_suite::vp::{
+    BlackBoxModel, CountingOracle, LabelMap, OracleStats, QueryOracle, VisualPrompt,
+};
 
 fn oracle() -> QueryOracle {
     let mut rng = Rng::new(0);
@@ -155,4 +163,84 @@ fn counting_outside_retries_bills_logical_queries_once() {
     assert_eq!(counting.local_batches(), LOGICAL);
     assert_eq!(counting.local_queries(), LOGICAL * 2);
     assert_eq!(inner.queries_used(), LOGICAL * 2);
+}
+
+/// A cached prompted backbone: the bottom two layers of the full stack.
+fn cached_backbone() -> CachingOracle<PromptedBackbone> {
+    let mut rng = Rng::new(31);
+    let backbone = QueryOracle::new(mlp(&ModelSpec::new(3, 16, 10), &mut rng).unwrap(), 10);
+    let prompt = VisualPrompt::random(3, 16, 2, &mut rng).unwrap();
+    let map = LabelMap::identity(10, 10).unwrap();
+    let composite = PromptedBackbone::new(backbone, prompt, map).unwrap();
+    CachingOracle::new(composite, CacheConfig::unbounded())
+}
+
+/// One stack of every composable layer. The outermost layer reaches the
+/// cache for export and import, and its query count and stats are the
+/// sums of each layer's own tallies.
+#[test]
+fn every_layer_stack_forwards_cache_and_sums_tallies() {
+    const ROWS: u64 = 3;
+    let cache = cached_backbone();
+    let adaptive = AdaptiveOracle::new(&cache, AdaptiveConfig::default(), 8);
+    let faulty = FaultyOracle::new(&adaptive, Transient { rate: 0.25 }, 0xFA17);
+    let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
+    let counting = CountingOracle::new(&retrying);
+    let outer = RegimeOracle::new(&counting, OracleRegime::TopK(3));
+
+    let mut rng = Rng::new(6);
+    let distinct: Vec<Tensor> = (0..8)
+        .map(|_| Tensor::rand_uniform(&[ROWS as usize, 3, 12, 12], 0.0, 1.0, &mut rng))
+        .collect();
+    // Each batch twice (cache hits), then one batch until the adaptive
+    // endpoint's duplicate test trips (evasions).
+    for batch in distinct.iter().chain(&distinct).chain([&distinct[0]; 3]) {
+        assert_eq!(outer.query(batch).unwrap().shape(), &[ROWS as usize, 10]);
+    }
+    assert_eq!(outer.num_classes(), 10);
+
+    let stats = outer.oracle_stats();
+    assert!(stats.faults_injected > 0 && stats.cache_hits > 0 && stats.evasive_responses > 0);
+    assert_eq!(
+        stats,
+        OracleStats {
+            faults_injected: faulty.faults_injected(),
+            degraded_responses: faulty.degraded_responses(),
+            retries: retrying.retries(),
+            retry_exhausted: retrying.exhausted(),
+            backoff_virtual_ms: retrying.backoff_virtual_ms(),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+            cache_evictions: cache.evictions(),
+            evasive_responses: adaptive.evasions(),
+        }
+    );
+    // Provider rows, plus rows the cache served, plus rows the adaptive
+    // endpoint fabricated.
+    assert_eq!(
+        outer.queries_used(),
+        cache.inner().queries_used() + cache.hits() + adaptive.evasions() * ROWS
+    );
+    assert_eq!(counting.local_queries(), 19 * ROWS);
+
+    // Export through the outermost layer is the cache's own export...
+    let (mut via_stack, mut direct) = (Encoder::new(), Encoder::new());
+    assert!(outer.export_cache(&mut via_stack));
+    assert!(cache.export_cache(&mut direct));
+    let bytes = via_stack.into_bytes();
+    assert_eq!(bytes, direct.into_bytes());
+    // ...and import through a fresh stack's outermost layer restores it.
+    let fresh = cached_backbone();
+    let adaptive = AdaptiveOracle::new(&fresh, AdaptiveConfig::default(), 8);
+    let faulty = FaultyOracle::new(&adaptive, Transient { rate: 0.25 }, 0xFA17);
+    let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
+    let counting = CountingOracle::new(&retrying);
+    let fresh_outer = RegimeOracle::new(&counting, OracleRegime::TopK(3));
+    let mut dec = Decoder::new(&bytes);
+    fresh_outer.import_cache(&mut dec).unwrap();
+    dec.finish().unwrap();
+    assert_eq!(fresh.entry_count(), cache.entry_count());
+    let mut restored = Encoder::new();
+    assert!(fresh.export_cache(&mut restored));
+    assert_eq!(restored.into_bytes(), bytes);
 }

@@ -103,7 +103,9 @@ fn marketplace_screen_shares_fits_and_emits_schema_valid_incident() {
     assert_eq!(queue.len(), 6);
 
     let engine = AuditEngine::new("mlaas-screen", ShadowZooRegistry::in_memory());
-    let fleet = engine.run(queue).unwrap();
+    let fleet = engine
+        .run_with(queue, |d, o, rng| d.inspect(o, rng))
+        .unwrap();
 
     // Queue-ordered outcomes, one per upload.
     assert_eq!(fleet.len(), 6);

@@ -219,11 +219,15 @@ fn fleet_costs_at_most_one_fit_plus_inspections() {
     let engine = AuditEngine::new("perf-gate-fleet", ShadowZooRegistry::in_memory());
     let fleet_queue = queue(&spec);
     let t = Instant::now();
-    let fleet = engine.run(fleet_queue).expect("fleet");
+    let fleet = engine
+        .run_with(fleet_queue, |d, o, rng| d.inspect(o, rng))
+        .expect("fleet");
     let fleet_s = t.elapsed().as_secs_f64();
     bprom_par::set_thread_count(0);
     assert_eq!(fleet.registry.builds, 1, "one fit serves the fleet");
-    let steady = engine.run(queue(&spec)).expect("warm fleet");
+    let steady = engine
+        .run_with(queue(&spec), |d, o, rng| d.inspect(o, rng))
+        .expect("warm fleet");
     assert_eq!(steady.registry.builds, 1, "a warm registry fits nothing");
 
     let budget_s = fit_s + inspect_s;
@@ -249,7 +253,9 @@ fn fleet_rescreen_replays_from_cache() {
         r.label.push_str("-rescreen");
         r
     }));
-    let report = engine.run(requests).expect("rescreen");
+    let report = engine
+        .run_with(requests, |d, o, rng| d.inspect(o, rng))
+        .expect("rescreen");
     assert_eq!(report.len(), 2 * N_MODELS);
     let fleet = report.cache_hit_rate();
     let re_audit = hit_rate(&report.outcomes[N_MODELS..]);
